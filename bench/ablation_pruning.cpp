@@ -31,8 +31,6 @@ const config_row configs[] = {
     {"no-memo", {.enable_memoization = false}},
     {"no-both", {.enable_partition = false, .enable_memoization = false}},
     {"sort-merge", {.merge = partition::merge_strategy::sort}},
-    {"rtree-cands", {.candidates = engine::candidate_strategy::rtree}},
-    {"quadtree", {.candidates = engine::candidate_strategy::quadtree}},
     {"host-par", {.host_parallel = true}},
 };
 

@@ -101,9 +101,10 @@ bool check_enclosure(const polygon& inner, const polygon& outer, std::int16_t in
       }
     }
   }
-  // Containment: all inner vertices inside the outer polygon. Rectilinear
-  // shapes with all vertices inside (boundary included) are contained for
-  // the rectangle/wire geometry this engine targets.
+  return polygon_inside(inner, outer);
+}
+
+bool polygon_inside(const polygon& inner, const polygon& outer) {
   for (const point& p : inner.vertices()) {
     if (!outer.contains(p)) return false;
   }

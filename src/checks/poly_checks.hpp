@@ -63,11 +63,15 @@ void check_spacing_notch(const polygon& poly, std::int16_t layer, coord_t min_sp
 void check_spacing_notch(const polygon& poly, std::int16_t layer, const spacing_table& table,
                          std::vector<violation>& out, check_stats& stats);
 
+/// True iff `inner` lies inside `outer`: every inner vertex is inside or on
+/// the boundary of `outer`. Sufficient for the rectangle/wire geometry this
+/// engine targets.
+[[nodiscard]] bool polygon_inside(const polygon& inner, const polygon& outer);
+
 /// Enclosure check of `inner` (e.g. a via cut) by `outer` (e.g. metal):
 /// reports margin violations on same-direction facing edge pairs. Returns
-/// true iff `inner` is fully contained in `outer` (callers aggregate
-/// containment over all candidate outers; an uncontained via is reported by
-/// check_enclosure_containment).
+/// polygon_inside(inner, outer) (callers aggregate containment over all
+/// candidate outers; an uncontained via is reported by report_uncontained).
 bool check_enclosure(const polygon& inner, const polygon& outer, std::int16_t inner_layer,
                      std::int16_t outer_layer, coord_t min_enclosure, std::vector<violation>& out,
                      check_stats& stats);

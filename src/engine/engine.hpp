@@ -50,12 +50,6 @@ class layout_snapshot;  // snapshot.hpp
 /// Execution branch (paper Fig. 1: sequential CPU / parallel GPU).
 enum class mode { sequential, parallel };
 
-/// How the sequential branch enumerates candidate MBR-overlap pairs inside a
-/// clip: the paper's sweepline + interval tree (Fig. 3), a packed R-tree, or
-/// a region quadtree (the alternatives Sections I/IV-A cite). Exposed for
-/// the ablation bench.
-enum class candidate_strategy { sweepline, rtree, quadtree };
-
 struct engine_config {
   mode run_mode = mode::sequential;
 
@@ -63,7 +57,6 @@ struct engine_config {
   bool enable_partition = true;    ///< off: one row containing everything
   bool enable_memoization = true;  ///< off: recompute every instance/pair
   partition::merge_strategy merge = partition::merge_strategy::pigeonhole;
-  candidate_strategy candidates = candidate_strategy::sweepline;
   sweep::executor_choice executor = sweep::executor_choice::automatic;
   std::size_t brute_threshold = sweep::default_brute_threshold;
 

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
 
-#include "geo/quadtree.hpp"
-#include "geo/rtree.hpp"
 #include "infra/thread_pool.hpp"
 #include "infra/trace.hpp"
 
@@ -72,28 +71,6 @@ partition::partition_result partition_instances(const engine_config& cfg,
   report.rows += part.rows.size();
   report.clips += part.clip_count();
   return part;
-}
-
-void enumerate_overlap_pairs(const engine_config& cfg, std::span<const rect> mbrs,
-                             coord_t inflate, sweep::sweep_stats& stats,
-                             const std::function<void(std::uint32_t, std::uint32_t)>& report) {
-  if (cfg.candidates == candidate_strategy::sweepline) {
-    sweep::overlap_pairs_inflated(mbrs, inflate, report, &stats);
-    return;
-  }
-  std::vector<rect> inflated(mbrs.size());
-  for (std::size_t i = 0; i < mbrs.size(); ++i) inflated[i] = mbrs[i].inflated(inflate);
-  auto count_and_report = [&](std::uint32_t i, std::uint32_t j) {
-    ++stats.pairs_reported;
-    report(i, j);
-  };
-  if (cfg.candidates == candidate_strategy::rtree) {
-    const geo::rtree tree(inflated);
-    tree.overlap_pairs(count_and_report);
-  } else {
-    const geo::quadtree tree(inflated);
-    tree.overlap_pairs(count_and_report);
-  }
 }
 
 poly_set transformed_polys(const db::cell& c, const master_layer_view& v, const transform& t) {
@@ -294,7 +271,7 @@ namespace {
 // never resized (mutexes are not movable).
 struct memo_slot {
   intra_memo intra;
-  pair_memo pairs;
+  pair_memo<std::vector<violation>> pairs;
   std::mutex intra_mu;
   std::mutex pairs_mu;
 };
@@ -352,10 +329,22 @@ std::vector<violation> compute_intra_for_plan(const db::cell& c, const master_la
       v.poly_mbrs, half_distance(plan.inflate),
       [&](std::uint32_t i, std::uint32_t j) {
         plan.check_pair(c.polygons()[v.poly_indices[i]].poly, v.poly_mbrs[i],
-                        c.polygons()[v.poly_indices[j]].poly, v.poly_mbrs[j], out, nullptr, cs);
+                        c.polygons()[v.poly_indices[j]].poly, v.poly_mbrs[j], out, cs);
       },
       &ss);
   return out;
+}
+
+// OR into `flags` (one per polygon of `pa`) which of pa's polygons lie inside
+// some polygon of `pb`; both sets in one common frame.
+void mark_contained(const poly_set& pa, const poly_set& pb, std::span<std::uint8_t> flags) {
+  for (std::size_t i = 0; i < pa.polys.size(); ++i) {
+    for (std::size_t j = 0; j < pb.polys.size() && !flags[i]; ++j) {
+      if (pb.mbrs[j].contains(pa.mbrs[i]) && checks::polygon_inside(pa.polys[i], pb.polys[j])) {
+        flags[i] = 1;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -381,6 +370,9 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
   const db::library& lib = snap.lib();
   view_cache& views = snap.views();
   const auto memos = std::make_unique<memo_slot[]>(nplans);
+  // Containment flags per pair_key (plan-independent: one memo per group).
+  pair_memo<std::vector<std::uint8_t>> contain_memo;
+  std::mutex contain_mu;
 
   for (const cell_id top : lib.top_cells()) {
     const std::vector<inst> a_insts = collect_instances(snap, top, g.layer1, window, g.inflate);
@@ -395,18 +387,26 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     for (std::size_t j = 0; j < b_insts.size(); ++j) mbrs[ni + j] = b_insts[j].mbr;
     const partition::partition_result part = partition_instances(cfg, mbrs, g.inflate, shared);
 
-    // Containment flags per inner polygon, ORed across pairs. The flags are
+    // Containment flags per inner polygon, ORed across candidate pairs; inner
+    // object i owns contained[first[i], first[i + 1]). The flags are
     // plan-independent (containment is pure geometry, no distance), so one
-    // array serves every member plan.
-    auto inner_poly_count = [&](const inst& in) -> std::size_t {
-      return in.split() ? 1 : views.get(in.master, g.layer1).poly_indices.size();
-    };
-    std::vector<std::vector<std::uint8_t>> contained;
+    // array serves every member plan. Only the inner object's own clip
+    // writes its flags (the partition puts every object in exactly one
+    // clip), so concurrent clips need no lock.
+    std::vector<std::size_t> first;
+    std::vector<std::uint8_t> contained;
     if (track) {
-      contained.resize(ni);
-      for (std::size_t i = 0; i < ni; ++i) contained[i].assign(inner_poly_count(a_insts[i]), 0);
+      first.assign(ni + 1, 0);
+      for (std::size_t i = 0; i < ni; ++i) {
+        const inst& in = a_insts[i];
+        const std::size_t n = in.split() ? 1 : views.get(in.master, g.layer1).poly_indices.size();
+        first[i + 1] = first[i] + n;
+      }
+      contained.assign(first[ni], 0);
     }
-    std::mutex contained_mu;
+    auto flags_of = [&](std::size_t i) {
+      return std::span(contained).subspan(first[i], first[i + 1] - first[i]);
+    };
 
     if (cfg.run_mode == mode::parallel) {
       // Row pipeline (Section V-C): up to pipeline_depth rows are in flight,
@@ -488,66 +488,55 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         in_flight.front().finish(outs, shared.device_stats);
         in_flight.pop_front();
       }
-
-      if (track) {
-        // Containment runs on the host (polygon containment is not an
-        // edge-pair-decomposable predicate); the scan is shared, the
-        // uncontained verdict is reported once per member plan. The outer
-        // instances' geometry is hoisted out of the i-loop — the previous
-        // inner-loop polys_of re-transformed every outer instance once per
-        // inner instance, O(ni×nb) transforms for nb cheap MBR rejections.
-        auto t = shared.phases.measure("edge_check");
-        std::vector<poly_set> outer(b_insts.size());
-        for (std::size_t j = 0; j < b_insts.size(); ++j) {
-          outer[j] = polys_of(lib, views, b_insts[j], g.layer2, transform{});
-        }
-        for (std::size_t i = 0; i < ni; ++i) {
-          const poly_set pa = polys_of(lib, views, a_insts[i], g.layer1, transform{});
-          for (std::size_t k = 0; k < pa.polys.size(); ++k) {
-            const rect im = pa.mbrs[k];
-            for (std::size_t j = 0; j < b_insts.size(); ++j) {
-              if (contained[i][k]) break;
-              if (!b_insts[j].mbr.overlaps(im)) continue;
-              const poly_set& po = outer[j];
-              for (std::size_t q = 0; q < po.polys.size(); ++q) {
-                if (!po.mbrs[q].contains(im)) continue;
-                bool all_in = true;
-                for (const point& p : pa.polys[k].vertices()) {
-                  if (!po.polys[q].contains(p)) {
-                    all_in = false;
-                    break;
-                  }
-                }
-                if (all_in) {
-                  contained[i][k] = 1;
-                  break;
-                }
-              }
-            }
-            if (!contained[i][k]) {
-              for (std::size_t kp = 0; kp < nplans; ++kp) {
-                checks::report_uncontained(pa.polys[k], g.layer1, g.layer2,
-                                           out.per_rule[kp].violations);
-              }
-            }
-          }
-        }
-      }
-      continue;
     }
 
-    // Sequential branch. Clips are mutually independent (partition
-    // soundness), so under cfg.host_parallel they run on the worker pool;
-    // the per-plan memo tables sit behind mutexes. unordered_map references
-    // are node-stable, so a reference obtained under the lock stays valid
-    // after it is released — but an existing entry is never overwritten
-    // (another thread may be reading it).
+    // Host work over the clips: the sequential branch's checks, and parallel
+    // mode's containment. Clips are mutually independent (partition
+    // soundness), so under cfg.host_parallel the sequential branch runs them
+    // on the worker pool.
 
-    // Evaluate every member plan on one candidate object pair.
+    // Candidate object pairs of one clip from the sweepline (Fig. 3), as
+    // (a_insts index, index of the other object: b_insts for two-layer
+    // groups, a_insts otherwise). Both modes enumerate them the same way.
+    auto clip_pairs = [&](const partition::clip& clip, sweep::sweep_stats& ss) {
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+      std::vector<rect> clip_mbrs(clip.members.size());
+      for (std::size_t k = 0; k < clip.members.size(); ++k) clip_mbrs[k] = mbrs[clip.members[k]];
+      sweep::overlap_pairs_inflated(
+          clip_mbrs, half_distance(g.inflate),
+          [&](std::uint32_t i, std::uint32_t j) {
+            const std::uint32_t gi = clip.members[i];
+            const std::uint32_t gj = clip.members[j];
+            if (!g.two_layer) {
+              pairs.emplace_back(gi, gj);
+              return;
+            }
+            const bool i_inner = gi < ni;
+            const bool j_inner = gj < ni;
+            if (i_inner && !j_inner) {
+              pairs.emplace_back(gi, gj - static_cast<std::uint32_t>(ni));
+            } else if (!i_inner && j_inner) {
+              pairs.emplace_back(gj, gi - static_cast<std::uint32_t>(ni));
+            }
+          },
+          &ss);
+      return pairs;
+    };
+
+    // Evaluate one candidate object pair: every member plan's predicate
+    // (sequential mode only — in parallel mode the device already did) and,
+    // for enclosure groups, the containment of a's polygons by b's. Memo
+    // tables are shared behind locks; unordered_map references are
+    // node-stable, so a reference obtained under the lock stays valid after
+    // it is released — but an existing entry is never overwritten (another
+    // thread may be reading it).
+    const bool check_edges = cfg.run_mode == mode::sequential;
     auto run_pair = [&](std::uint32_t ia, std::uint32_t ib, std::span<check_report> pr) {
       const inst& a = a_insts[ia];
       const inst& b = g.two_layer ? b_insts[ib] : a_insts[ib];
       const layer_t lb = g.two_layer ? g.layer2 : g.layer1;
+      const std::span<std::uint8_t> flags = track ? flags_of(ia) : std::span<std::uint8_t>{};
+      const bool contain = std::ranges::find(flags, 0) != flags.end();
       if (!a.split() && !b.split() && cfg.enable_memoization && a.t.is_isometry() &&
           b.t.is_isometry()) {
         // Relative placement of B in A's frame — the memo key. Only valid
@@ -555,11 +544,16 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         // magnified geometry scales the distances the memo caches.
         const transform rel = a.t.inverse().compose(b.t);
         const pair_key key{a.master, b.master, rel};
-        // The transformed geometry is shared across member plans that miss
-        // their memo; built lazily so all-hit pairs pay nothing.
+        // The transformed geometry is shared across every memo miss of this
+        // pair; built lazily so all-hit pairs pay nothing.
         std::optional<poly_set> pa, pb;
-        for (std::size_t k = 0; k < nplans; ++k) {
-          const pair_result* res = nullptr;
+        auto geometry = [&] {
+          if (pa) return;
+          pa = transformed_polys(lib.at(a.master), views.get(a.master, g.layer1), transform{});
+          pb = transformed_polys(lib.at(b.master), views.get(b.master, lb), rel);
+        };
+        for (std::size_t k = 0; check_edges && k < nplans; ++k) {
+          const std::vector<violation>* res = nullptr;
           {
             std::lock_guard lk(memos[k].pairs_mu);
             res = memos[k].pairs.find(key);
@@ -569,60 +563,57 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
           } else {
             ++pr[k].prune.pairs_computed;
             auto t = pr[k].phases.measure("edge_check");
-            if (!pa) {
-              pa = transformed_polys(lib.at(a.master), views.get(a.master, g.layer1),
-                                     transform{});
-              pb = transformed_polys(lib.at(b.master), views.get(b.master, lb), rel);
-            }
-            pair_result computed;
-            if (track) computed.a_contained.assign(pa->polys.size(), 0);
+            geometry();
+            std::vector<violation> computed;
             for (std::size_t i = 0; i < pa->polys.size(); ++i) {
               for (std::size_t j = 0; j < pb->polys.size(); ++j) {
                 mp[k]->check_pair(pa->polys[i], pa->mbrs[i], pb->polys[j], pb->mbrs[j],
-                                  computed.local, track ? &computed.a_contained[i] : nullptr,
-                                  pr[k].check_stats);
+                                  computed, pr[k].check_stats);
               }
             }
             std::lock_guard lk(memos[k].pairs_mu);
-            const pair_result* existing = memos[k].pairs.find(key);
+            const std::vector<violation>* existing = memos[k].pairs.find(key);
             res = existing ? existing : &memos[k].pairs.store(key, std::move(computed));
           }
-          for (const violation& lv : res->local) {
+          for (const violation& lv : *res) {
             pr[k].violations.push_back(transformed(lv, a.t));
           }
-          if (track) {
-            std::lock_guard lk(contained_mu);
-            for (std::size_t q = 0; q < res->a_contained.size(); ++q) {
-              if (res->a_contained[q]) contained[ia][q] = 1;
-            }
-          }
         }
-      } else {
-        // Direct path (split objects, magnification, or memoization
-        // disabled): check in top coordinates. Geometry is shared across
-        // member plans.
-        const poly_set pa = polys_of(lib, views, a, g.layer1, transform{});
-        const poly_set pb = polys_of(lib, views, b, lb, transform{});
-        std::vector<std::uint8_t> local_contained;
-        if (track) local_contained.assign(pa.polys.size(), 0);
-        for (std::size_t k = 0; k < nplans; ++k) {
-          ++pr[k].prune.pairs_computed;
-          auto t = pr[k].phases.measure("edge_check");
-          for (std::size_t i = 0; i < pa.polys.size(); ++i) {
-            for (std::size_t j = 0; j < pb.polys.size(); ++j) {
-              mp[k]->check_pair(pa.polys[i], pa.mbrs[i], pb.polys[j], pb.mbrs[j],
-                                pr[k].violations, track ? &local_contained[i] : nullptr,
-                                pr[k].check_stats);
-            }
+        if (contain) {
+          const std::vector<std::uint8_t>* res = nullptr;
+          {
+            std::lock_guard lk(contain_mu);
+            res = contain_memo.find(key);
           }
+          if (!res) {
+            geometry();
+            std::vector<std::uint8_t> computed(pa->polys.size(), 0);
+            mark_contained(*pa, *pb, computed);
+            std::lock_guard lk(contain_mu);
+            const std::vector<std::uint8_t>* existing = contain_memo.find(key);
+            res = existing ? existing : &contain_memo.store(key, std::move(computed));
+          }
+          for (std::size_t q = 0; q < flags.size(); ++q) flags[q] |= (*res)[q];
         }
-        if (track) {
-          std::lock_guard lk(contained_mu);
-          for (std::size_t q = 0; q < local_contained.size(); ++q) {
-            if (local_contained[q]) contained[ia][q] = 1;
+        return;
+      }
+      // Direct path (split objects, magnification, or memoization
+      // disabled): check in top coordinates. Geometry is shared across
+      // member plans.
+      if (!check_edges && !contain) return;
+      const poly_set pa = polys_of(lib, views, a, g.layer1, transform{});
+      const poly_set pb = polys_of(lib, views, b, lb, transform{});
+      for (std::size_t k = 0; check_edges && k < nplans; ++k) {
+        ++pr[k].prune.pairs_computed;
+        auto t = pr[k].phases.measure("edge_check");
+        for (std::size_t i = 0; i < pa.polys.size(); ++i) {
+          for (std::size_t j = 0; j < pb.polys.size(); ++j) {
+            mp[k]->check_pair(pa.polys[i], pa.mbrs[i], pb.polys[j], pb.mbrs[j],
+                              pr[k].violations, pr[k].check_stats);
           }
         }
       }
+      if (contain) mark_contained(pa, pb, flags);
     };
 
     // Intra-object work of one instance, every member plan (single-layer
@@ -652,7 +643,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
             mp[k]->check_single(ps.polys[pi], pr[k].violations, pr[k].check_stats);
             for (std::size_t pj = pi + 1; pj < ps.polys.size(); ++pj) {
               mp[k]->check_pair(ps.polys[pi], ps.mbrs[pi], ps.polys[pj], ps.mbrs[pj],
-                                pr[k].violations, nullptr, pr[k].check_stats);
+                                pr[k].violations, pr[k].check_stats);
             }
           }
         }
@@ -703,26 +694,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         auto t = sh.phases.measure("sweepline");
         trace::span sts("pipeline", "sweepline", "members",
                         static_cast<std::int64_t>(clip.members.size()));
-        std::vector<rect> clip_mbrs(clip.members.size());
-        for (std::size_t k = 0; k < clip.members.size(); ++k) {
-          clip_mbrs[k] = mbrs[clip.members[k]];
-        }
-        enumerate_overlap_pairs(cfg, clip_mbrs, half_distance(g.inflate), sh.sweep_stats,
-                                [&](std::uint32_t i, std::uint32_t j) {
-                                  const std::uint32_t gi = clip.members[i];
-                                  const std::uint32_t gj = clip.members[j];
-                                  if (!g.two_layer) {
-                                    pairs.emplace_back(gi, gj);
-                                    return;
-                                  }
-                                  const bool i_inner = gi < ni;
-                                  const bool j_inner = gj < ni;
-                                  if (i_inner && !j_inner) {
-                                    pairs.emplace_back(gi, gj - static_cast<std::uint32_t>(ni));
-                                  } else if (!i_inner && j_inner) {
-                                    pairs.emplace_back(gj, gi - static_cast<std::uint32_t>(ni));
-                                  }
-                                });
+        pairs = clip_pairs(clip, sh.sweep_stats);
         if (!g.two_layer) {
           sh.prune.pairs_pruned_mbr +=
               clip.members.size() * (clip.members.size() - 1) / 2 - pairs.size();
@@ -736,7 +708,19 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     for (const partition::row& row : part.rows) {
       for (const partition::clip& clip : row.clips) clips.push_back(&clip);
     }
-    if (cfg.host_parallel && clips.size() > 1) {
+    if (cfg.run_mode == mode::parallel) {
+      if (track) {
+        // Containment runs on the host (polygon containment is not an
+        // edge-pair-decomposable predicate), over the candidate pairs of the
+        // same clip sweep the sequential branch uses.
+        auto t = shared.phases.measure("edge_check");
+        for (const partition::clip* c : clips) {
+          for (const auto& [ia, ib] : clip_pairs(*c, shared.sweep_stats)) {
+            run_pair(ia, ib, out.per_rule);
+          }
+        }
+      }
+    } else if (cfg.host_parallel && clips.size() > 1) {
       // Per-clip local reports, merged afterwards: clip tasks never write a
       // shared report concurrently.
       std::vector<check_report> local_shared(clips.size());
@@ -759,9 +743,11 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       // Report inner polygons contained by nothing, once per member plan.
       auto t = shared.phases.measure("edge_check");
       for (std::size_t i = 0; i < ni; ++i) {
+        const std::span<const std::uint8_t> flags = flags_of(i);
+        if (std::ranges::find(flags, 0) == flags.end()) continue;
         const poly_set pa = polys_of(lib, views, a_insts[i], g.layer1, transform{});
         for (std::size_t k = 0; k < pa.polys.size(); ++k) {
-          if (contained[i][k]) continue;
+          if (flags[k]) continue;
           for (std::size_t kp = 0; kp < nplans; ++kp) {
             checks::report_uncontained(pa.polys[k], g.layer1, g.layer2,
                                        out.per_rule[kp].violations);

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
@@ -74,7 +73,7 @@ inline constexpr std::size_t split_poly_threshold = 8;
                                                   coord_t inflate = 0);
 
 // ---------------------------------------------------------------------------
-// Partition + candidate enumeration
+// Partition
 // ---------------------------------------------------------------------------
 
 /// Adaptive row partition of the object MBRs (or the one-row ablation
@@ -92,12 +91,6 @@ inline constexpr std::size_t split_poly_threshold = 8;
 [[nodiscard]] constexpr coord_t half_distance(coord_t d) {
   return static_cast<coord_t>((d + 1) / 2);
 }
-
-/// Candidate pair enumeration inside one clip: sweepline (paper default),
-/// packed R-tree, or quadtree, per engine_config::candidates.
-void enumerate_overlap_pairs(const engine_config& cfg, std::span<const rect> mbrs,
-                             coord_t inflate, sweep::sweep_stats& stats,
-                             const std::function<void(std::uint32_t, std::uint32_t)>& report);
 
 // ---------------------------------------------------------------------------
 // Object geometry

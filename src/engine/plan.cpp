@@ -22,7 +22,7 @@ void exec_plan::check_single(const polygon& p, std::vector<checks::violation>& o
 }
 
 void exec_plan::check_pair(const polygon& a, const rect& am, const polygon& b, const rect& bm,
-                           std::vector<checks::violation>& out, std::uint8_t* a_contained,
+                           std::vector<checks::violation>& out,
                            checks::check_stats& cs) const {
   switch (rule.kind) {
     case checks::rule_kind::spacing:
@@ -31,9 +31,7 @@ void exec_plan::check_pair(const polygon& a, const rect& am, const polygon& b, c
       break;
     case checks::rule_kind::enclosure:
       if (!am.inflated(rule.distance).overlaps(bm)) return;
-      if (checks::check_enclosure(a, b, layer1, layer2, rule.distance, out, cs) && a_contained) {
-        *a_contained = 1;
-      }
+      checks::check_enclosure(a, b, layer1, layer2, rule.distance, out, cs);
       break;
     default: break;  // other kinds have no pair predicate
   }

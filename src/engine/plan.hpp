@@ -68,12 +68,10 @@ struct exec_plan {
 
   /// Pair predicate between two polygons in a common frame, with this plan's
   /// own MBR prefilter (`am`/`bm` are the polygons' MBRs in that frame). For
-  /// containment-tracking plans, `*a_contained` is set when `b` fully
-  /// contains `a`. For two_layer plans `a` must come from layer1 and `b`
-  /// from layer2.
+  /// two_layer plans `a` must come from layer1 and `b` from layer2.
+  /// Containment is plan-independent and tracked by the pipeline driver.
   void check_pair(const polygon& a, const rect& am, const polygon& b, const rect& bm,
-                  std::vector<checks::violation>& out, std::uint8_t* a_contained,
-                  checks::check_stats& cs) const;
+                  std::vector<checks::violation>& out, checks::check_stats& cs) const;
 };
 
 /// Compile one rule. Every rule kind compiles; `cls` tells the caller which

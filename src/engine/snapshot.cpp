@@ -144,7 +144,11 @@ const packed_master_edges& layout_snapshot::packed(db::cell_id master, db::layer
   if (!use_frozen || !frozen_->fill_packed(master, layer, pm)) {
     const master_layer_view& v = views_.get(master, layer);
     const db::cell& c = lib_.at(master);
+    // One exact-size reservation: the cache lives as long as the snapshot.
+    std::size_t total = 0;
+    for (std::uint32_t pi : v.poly_indices) total += c.polygons()[pi].poly.edge_count();
     std::vector<sweep::packed_edge> edges;
+    edges.reserve(total);
     pm.poly_offsets.reserve(v.poly_indices.size() + 1);
     pm.clockwise.reserve(v.poly_indices.size());
     pm.poly_offsets.push_back(0);
@@ -204,7 +208,6 @@ void append_packed_polygon(const packed_master_edges& pm, std::size_t local_poly
 void append_packed_instance(const packed_master_edges& pm, const transform& t,
                             std::uint32_t first_poly_id, std::uint16_t group,
                             std::vector<sweep::packed_edge>& out) {
-  out.reserve(out.size() + pm.edges.size());
   const std::size_t n = pm.poly_count();
   for (std::size_t k = 0; k < n; ++k) {
     append_packed_polygon(pm, k, t, first_poly_id + static_cast<std::uint32_t>(k), group, out);

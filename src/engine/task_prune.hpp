@@ -105,31 +105,23 @@ struct pair_key_hash {
   }
 };
 
-/// Result of one inter-instance pair check, in A's frame. For enclosure
-/// pairs the containment flags record, per inner polygon of A (resp. B),
-/// whether *this* outer instance contains it; the engine ORs the flags
-/// across all pairs before reporting uncontained shapes.
-struct pair_result {
-  std::vector<checks::violation> local;
-  std::vector<std::uint8_t> a_contained;
-  std::vector<std::uint8_t> b_contained;
-};
-
+/// Memo of inter-instance results keyed by pair_key, each value in A's
+/// frame: a plan's local violations, or a group's containment flags (per
+/// polygon of A, whether some polygon of B contains it).
+template <typename V>
 class pair_memo {
  public:
-  [[nodiscard]] const pair_result* find(const pair_key& k) const {
+  [[nodiscard]] const V* find(const pair_key& k) const {
     auto it = map_.find(k);
     return it == map_.end() ? nullptr : &it->second;
   }
 
-  const pair_result& store(const pair_key& k, pair_result r) {
-    return map_[k] = std::move(r);
-  }
+  const V& store(const pair_key& k, V v) { return map_[k] = std::move(v); }
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
  private:
-  std::unordered_map<pair_key, pair_result, pair_key_hash> map_;
+  std::unordered_map<pair_key, V, pair_key_hash> map_;
 };
 
 }  // namespace odrc::engine

@@ -7,10 +7,9 @@
 // the classic packed/Hilbert-style construction that gives near-optimal
 // space utilization and good query clustering for layout data.
 //
-// The engine can use it as an alternative to the sweepline for candidate
-// MBR-overlap enumeration (engine_config::candidates); the ablation bench
-// compares the two, reproducing the design discussion behind the paper's
-// choice of sweepline + interval tree for the sequential mode.
+// report::violation_index builds its windowed violation queries on it; the
+// micro_sweepline bench compares its MBR-overlap enumeration with the
+// sweepline's.
 #pragma once
 
 #include <cstdint>

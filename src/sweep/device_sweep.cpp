@@ -524,7 +524,6 @@ void async_edge_check::finish(std::vector<checks::violation>& out, device_check_
 void pack_polygon_edges(const polygon& poly, std::uint32_t poly_id, std::uint16_t group,
                         std::vector<packed_edge>& out) {
   const std::size_t n = poly.edge_count();
-  out.reserve(out.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
     const edge e = poly.edge_at(i);
     out.push_back({e.from, e.to, poly_id, group, 0});

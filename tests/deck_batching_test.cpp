@@ -1,7 +1,6 @@
 // Deck-batching equivalence tests: rules grouped onto a shared pipeline pass
 // (engine_config::batch) must report exactly the violations of per-rule
-// execution, in every mode and with every candidate strategy, with per-rule
-// attribution preserved.
+// execution, in every mode, with per-rule attribution preserved.
 #include <gtest/gtest.h>
 
 #include "engine/engine.hpp"
@@ -66,38 +65,31 @@ TEST(DeckBatching, GroupingKeyIsLayerSet) {
   EXPECT_EQ(groups[2].inflate, tech::via_enclosure);
 }
 
-// Batched == unbatched == concurrent, for both modes and all three candidate
-// strategies.
+// Batched == unbatched == concurrent, for both modes.
 TEST(DeckBatching, BatchedDeckMatchesPerRuleExecution) {
   const db::library lib = make_lib();
   const std::vector<rules::rule> deck = batched_deck();
 
   for (const mode m : {mode::sequential, mode::parallel}) {
-    for (const candidate_strategy cs :
-         {candidate_strategy::sweepline, candidate_strategy::rtree,
-          candidate_strategy::quadtree}) {
-      engine_config on;
-      on.run_mode = m;
-      on.candidates = cs;
-      on.batch = true;
-      engine_config off = on;
-      off.batch = false;
+    engine_config on;
+    on.run_mode = m;
+    on.batch = true;
+    engine_config off = on;
+    off.batch = false;
 
-      drc_engine batched(on);
-      batched.add_rules(deck);
-      const auto vb = norm(batched.check(lib).violations);
-      EXPECT_FALSE(vb.empty());
+    drc_engine batched(on);
+    batched.add_rules(deck);
+    const auto vb = norm(batched.check(lib).violations);
+    EXPECT_FALSE(vb.empty());
 
-      drc_engine per_rule(off);
-      per_rule.add_rules(deck);
-      EXPECT_EQ(vb, norm(per_rule.check(lib).violations))
-          << "mode=" << static_cast<int>(m) << " candidates=" << static_cast<int>(cs);
+    drc_engine per_rule(off);
+    per_rule.add_rules(deck);
+    EXPECT_EQ(vb, norm(per_rule.check(lib).violations)) << "mode=" << static_cast<int>(m);
 
-      drc_engine concurrent(on);
-      concurrent.add_rules(deck);
-      EXPECT_EQ(vb, norm(concurrent.check_concurrent(lib).violations))
-          << "mode=" << static_cast<int>(m) << " candidates=" << static_cast<int>(cs);
-    }
+    drc_engine concurrent(on);
+    concurrent.add_rules(deck);
+    EXPECT_EQ(vb, norm(concurrent.check_concurrent(lib).violations))
+        << "mode=" << static_cast<int>(m);
   }
 }
 

@@ -1,15 +1,18 @@
 // Adversarial property test: random hierarchical layouts (random masters,
-// nested references with rotations/reflections, random top-level shapes) are
-// checked by the engine (both modes) against an INDEPENDENT brute-force
-// oracle that flattens by explicit transform application and tests every
-// edge pair with the shared predicates — no sweepline, no partition, no
-// memoization, no MBR filters. Any transform, partitioning, memo-reuse or
-// candidate-enumeration bug shows up as a set difference.
+// nested references with rotations/reflections, one magnified reference,
+// random top-level shapes) are checked by the engine (seq, par and seq with
+// host_parallel) against an INDEPENDENT brute-force oracle that flattens by
+// explicit transform application and tests every edge pair (every polygon
+// pair for enclosure containment) with the shared predicates — no sweepline,
+// no partition, no memoization, no MBR filters. Any transform, partitioning,
+// memo-reuse, candidate-enumeration or containment bug shows up as a set
+// difference.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "checks/edge_checks.hpp"
+#include "checks/poly_checks.hpp"
 #include "db/flatten.hpp"
 #include "engine/engine.hpp"
 
@@ -18,10 +21,21 @@ namespace {
 
 using checks::violation;
 
-// Build a random 2-level library on layers 1 (metal) and 2 (via-ish).
+// An 8x8 via on layer 2 inside `metal`, inset by `inset` on its lower-left
+// sides when it fits; partly outside it otherwise (or for negative insets).
+void add_via_in(db::cell& c, const rect& metal, coord_t inset) {
+  const coord_t x = static_cast<coord_t>(metal.x_min + inset);
+  const coord_t y = static_cast<coord_t>(metal.y_min + inset);
+  c.add_rect(2, {x, y, static_cast<coord_t>(x + 8), static_cast<coord_t>(y + 8)});
+}
+
+// Build a random 2-level library on layers 1 (metal) and 2 (via-ish). Vias
+// are contained, partly contained or outside the metal; the top cell holds
+// more than split_poly_threshold shapes per layer (per-polygon objects).
 db::library random_library(std::mt19937& rng) {
   std::uniform_int_distribution<coord_t> pos(0, 600);
   std::uniform_int_distribution<coord_t> size(8, 90);
+  std::uniform_int_distribution<coord_t> inset(-4, 12);
   std::uniform_int_distribution<int> count(1, 5);
   std::uniform_int_distribution<int> rot(0, 3), flip(0, 1);
 
@@ -33,8 +47,10 @@ db::library random_library(std::mt19937& rng) {
     const int polys = count(rng);
     for (int p = 0; p < polys; ++p) {
       const coord_t x = pos(rng), y = pos(rng);
-      lib.at(m).add_rect(1, {x, y, static_cast<coord_t>(x + size(rng)),
-                             static_cast<coord_t>(y + size(rng))});
+      const rect metal{x, y, static_cast<coord_t>(x + size(rng)),
+                       static_cast<coord_t>(y + size(rng))};
+      lib.at(m).add_rect(1, metal);
+      if (flip(rng)) add_via_in(lib.at(m), metal, inset(rng));
     }
     if (flip(rng)) {
       const coord_t x = pos(rng), y = pos(rng);
@@ -56,16 +72,23 @@ db::library random_library(std::mt19937& rng) {
   lib.at(top).add_ref(
       {mid, transform{{static_cast<coord_t>(1000 + pos(rng)), static_cast<coord_t>(pos(rng))},
                       static_cast<std::uint16_t>(rot(rng)), flip(rng) != 0, 1}});
+  std::uniform_int_distribution<std::size_t> pick(0, masters.size() - 1);
   for (int i = 0; i < 4; ++i) {
-    std::uniform_int_distribution<std::size_t> pick(0, masters.size() - 1);
     transform t{{static_cast<coord_t>(pos(rng) * 3), static_cast<coord_t>(pos(rng) * 3)},
                 static_cast<std::uint16_t>(rot(rng)), flip(rng) != 0, 1};
     lib.at(top).add_ref({masters[pick(rng)], t});
   }
+  // One magnified reference, away from the rest.
+  lib.at(top).add_ref(
+      {masters[pick(rng)],
+       transform{{static_cast<coord_t>(pos(rng) * 2), static_cast<coord_t>(4000 + pos(rng))},
+                 static_cast<std::uint16_t>(rot(rng)), flip(rng) != 0, 2}});
   for (int i = 0; i < 10; ++i) {
     const coord_t x = pos(rng), y = static_cast<coord_t>(pos(rng) + 2000);
-    lib.at(top).add_rect(1, {x, y, static_cast<coord_t>(x + size(rng)),
-                             static_cast<coord_t>(y + size(rng))});
+    const rect metal{x, y, static_cast<coord_t>(x + size(rng)),
+                     static_cast<coord_t>(y + size(rng))};
+    lib.at(top).add_rect(1, metal);
+    add_via_in(lib.at(top), metal, inset(rng));
   }
   return lib;
 }
@@ -124,6 +147,25 @@ std::vector<violation> oracle_width(const db::library& lib, db::layer_t layer, c
   return out;
 }
 
+// Flatten both layers, run check_enclosure on every (inner, outer) pair, OR
+// the containment verdicts, and report every inner shape contained by none.
+std::vector<violation> oracle_enclosure(const db::library& lib, db::layer_t inner,
+                                        db::layer_t outer, coord_t d) {
+  std::vector<violation> out;
+  checks::check_stats cs;
+  for (const db::cell_id top : lib.top_cells()) {
+    const auto outers = db::flatten_layer(lib, top, outer);
+    for (const auto& in : db::flatten_layer(lib, top, inner)) {
+      bool contained = false;
+      for (const auto& o : outers) {
+        contained |= checks::check_enclosure(in.poly, o.poly, inner, outer, d, out, cs);
+      }
+      if (!contained) checks::report_uncontained(in.poly, inner, outer, out);
+    }
+  }
+  return out;
+}
+
 class RandomLayout : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomLayout, EngineMatchesOracle) {
@@ -132,6 +174,7 @@ TEST_P(RandomLayout, EngineMatchesOracle) {
     const db::library lib = random_library(rng);
     drc_engine seq({.run_mode = engine::mode::sequential});
     drc_engine par({.run_mode = engine::mode::parallel});
+    drc_engine host_par({.run_mode = engine::mode::sequential, .host_parallel = true});
 
     for (const coord_t d : {coord_t{12}, coord_t{25}}) {
       const auto want_s = norm(oracle_spacing(lib, 1, d));
@@ -145,6 +188,14 @@ TEST_P(RandomLayout, EngineMatchesOracle) {
           << "seq width d=" << d << " iter=" << iter;
       EXPECT_EQ(norm(par.run_width(lib, 1, d).violations), want_w)
           << "par width d=" << d << " iter=" << iter;
+
+      const auto want_e = norm(oracle_enclosure(lib, 2, 1, d));
+      EXPECT_EQ(norm(seq.run_enclosure(lib, 2, 1, d).violations), want_e)
+          << "seq enclosure d=" << d << " iter=" << iter;
+      EXPECT_EQ(norm(par.run_enclosure(lib, 2, 1, d).violations), want_e)
+          << "par enclosure d=" << d << " iter=" << iter;
+      EXPECT_EQ(norm(host_par.run_enclosure(lib, 2, 1, d).violations), want_e)
+          << "host_parallel enclosure d=" << d << " iter=" << iter;
     }
   }
 }

@@ -1,5 +1,5 @@
 // Packed R-tree tests: construction shape, query correctness vs brute force,
-// pair enumeration equivalence with the sweepline, and engine integration.
+// and pair enumeration equivalence with the sweepline.
 #include "geo/rtree.hpp"
 
 #include <gtest/gtest.h>
@@ -7,9 +7,7 @@
 #include <random>
 #include <set>
 
-#include "engine/engine.hpp"
 #include "sweep/sweepline.hpp"
-#include "workload/workload.hpp"
 
 namespace odrc::geo {
 namespace {
@@ -99,28 +97,6 @@ TEST(Rtree, QueryPruningVisitsFewNodes) {
   t.query(rect{0, 0, 1000, 1000}, [&](std::uint32_t) { ++hits; });
   // A tiny window must not touch most of the tree.
   EXPECT_LT(t.last_nodes_visited(), 5000u / 4);
-}
-
-TEST(RtreeEngine, CandidateStrategyProducesSameViolations) {
-  auto spec = workload::spec_for("ibex", 0.4);
-  spec.inject = {2, 2, 2, 1};
-  const auto g = workload::generate(spec);
-  drc_engine sweep_eng({.candidates = engine::candidate_strategy::sweepline});
-  drc_engine rtree_eng({.candidates = engine::candidate_strategy::rtree});
-  using workload::layers;
-  using workload::tech;
-  for (const db::layer_t m : {layers::M1, layers::M2}) {
-    auto a = sweep_eng.run_spacing(g.lib, m, tech::wire_space).violations;
-    auto b = rtree_eng.run_spacing(g.lib, m, tech::wire_space).violations;
-    checks::normalize_all(a);
-    checks::normalize_all(b);
-    EXPECT_EQ(a, b) << "layer " << m;
-  }
-  auto a = sweep_eng.run_enclosure(g.lib, layers::V1, layers::M1, tech::via_enclosure).violations;
-  auto b = rtree_eng.run_enclosure(g.lib, layers::V1, layers::M1, tech::via_enclosure).violations;
-  checks::normalize_all(a);
-  checks::normalize_all(b);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace
