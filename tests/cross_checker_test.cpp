@@ -5,6 +5,7 @@
 // candidate enumeration. Also verifies injected ground-truth sites are all
 // found and that the clean fabric produces no stray violations.
 #include <gtest/gtest.h>
+#include <string>
 
 #include "baseline/baseline.hpp"
 #include "engine/engine.hpp"
@@ -43,9 +44,12 @@ const rule_case kRules[] = {
     {"M2.A.1", checks::rule_kind::area, layers::M2, layers::M2, 0},
 };
 
-class CrossChecker : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+// The design is a std::string, not a const char*, so gtest prints its value
+// rather than its address and the registered test names stay the same from
+// one build to the next.
+class CrossChecker : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
-  static workload::generated make(const char* design) {
+  static workload::generated make(const std::string& design) {
     auto spec = workload::spec_for(design, 0.25);
     spec.inject = {2, 2, 2, 2};
     return workload::generate(spec);
@@ -53,7 +57,7 @@ class CrossChecker : public ::testing::TestWithParam<std::tuple<const char*, int
 };
 
 TEST_P(CrossChecker, AllCheckersAgree) {
-  const char* design = std::get<0>(GetParam());
+  const std::string& design = std::get<0>(GetParam());
   const rule_case& rc = kRules[static_cast<std::size_t>(std::get<1>(GetParam()))];
   const auto g = make(design);
 
@@ -151,14 +155,15 @@ TEST_P(CrossChecker, AllCheckersAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     DesignsAndRules, CrossChecker,
-    ::testing::Combine(::testing::Values("uart", "ibex", "sha3"),
+    ::testing::Combine(::testing::Values(std::string("uart"), std::string("ibex"),
+                                         std::string("sha3")),
                        ::testing::Range(0, static_cast<int>(std::size(kRules)))),
     [](const auto& info) {
       std::string label = kRules[static_cast<std::size_t>(std::get<1>(info.param))].label;
       for (char& c : label) {
         if (c == '.') c = '_';
       }
-      return std::string(std::get<0>(info.param)) + "_" + label;
+      return std::get<0>(info.param) + "_" + label;
     });
 
 // Clean designs (no injection) must produce zero violations everywhere.
