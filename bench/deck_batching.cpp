@@ -9,9 +9,11 @@
 // batched beats per-rule in both modes, with the larger win in parallel mode
 // where the pack/upload is the dominant shared cost.
 //
-// One harness case per (design, mode, per-rule|batched); each batched case
-// verifies its violation count against the per-rule case that ran before it
-// and throws on mismatch. Two extra cases measure the trace recorder's
+// One harness case per (design, mode, per-rule|batched): per-rule runs each
+// rule alone through check(lib, rule), each with its own layout snapshot;
+// batched runs the deck through check(lib). Each batched case verifies its
+// violation count against the per-rule case that ran before it and throws on
+// mismatch. Two extra cases measure the trace recorder's
 // enabled-vs-disabled overhead contract.
 #include <memory>
 #include <stdexcept>
@@ -59,33 +61,28 @@ int main(int argc, char** argv) {
   for (const std::string& design : designs) {
     for (const engine::mode m : {engine::mode::sequential, engine::mode::parallel}) {
       const std::string mode_s = m == engine::mode::sequential ? "seq" : "par";
-      // Variants: independent per-rule passes, the batched deck with the
-      // shared layout snapshot disabled (every group rebuilds index + views
-      // + packed edges), and the full batched + snapshot configuration.
-      struct variant {
-        const char* name;
-        bool batch;
-        bool snapshot;
-      };
-      for (const variant v : {variant{"per-rule", false, true},
-                              variant{"batched-nosnap", true, false},
-                              variant{"batched", true, true}}) {
-        s.add(design + "/" + mode_s + "/" + v.name,
-              [&cache, reference, design, m, mode_s, v](case_context& ctx) {
+      for (const bool batched : {false, true}) {
+        const char* variant = batched ? "batched" : "per-rule";
+        s.add(design + "/" + mode_s + "/" + variant,
+              [&cache, reference, design, m, mode_s, batched](case_context& ctx) {
                 const auto& g = cache.get(design, 2, ctx.scale());
                 engine_config cfg;
                 cfg.run_mode = m;
-                cfg.batch = v.batch;
-                cfg.snapshot = v.snapshot;
                 drc_engine eng(cfg);
                 eng.add_rules(make_deck());
                 engine::check_report report;
-                while (ctx.next_rep()) report = eng.check(g.lib);
+                while (ctx.next_rep()) {
+                  if (batched) {
+                    report = eng.check(g.lib);
+                  } else {
+                    report = {};
+                    for (const rules::rule& r : eng.deck()) report.merge_from(eng.check(g.lib, r));
+                  }
+                }
                 const std::string key = design + "/" + mode_s;
                 auto [it, inserted] = reference->try_emplace(key, report.violations.size());
                 if (!inserted && report.violations.size() != it->second) {
-                  throw std::runtime_error(std::string(v.name) +
-                                           " and per-rule violation counts differ");
+                  throw std::runtime_error("batched and per-rule violation counts differ");
                 }
                 ctx.counter("violations", static_cast<double>(report.violations.size()));
                 ctx.counter("shared_seconds", report.deck.shared_seconds);
@@ -118,22 +115,16 @@ int main(int argc, char** argv) {
   return s.run([&](const suite_report& rep) {
     std::printf("\nDeck batching: 9 pair rules over 3 layers (scale=%.2f, mode=%s)\n",
                 rep.scale, rep.mode.c_str());
-    std::printf("%-8s %-10s %10s %10s %10s %8s %8s %10s %10s\n", "Design", "Mode",
-                "per-rule", "nosnap", "batched", "speedup", "snap", "shared(s)",
-                "saved(s)");
+    std::printf("%-8s %-10s %10s %10s %8s %10s %10s\n", "Design", "Mode", "per-rule",
+                "batched", "speedup", "shared(s)", "saved(s)");
     for (const std::string& design : designs) {
       for (const char* mode_s : {"seq", "par"}) {
         const std::string base = design + "/" + mode_s + "/";
         const double t_per_rule = median_or(rep, base + "per-rule");
-        const double t_nosnap = median_or(rep, base + "batched-nosnap");
         const double t_batched = median_or(rep, base + "batched");
         if (t_per_rule < 0 || t_batched < 0) continue;
-        // "speedup" is the headline batched-vs-per-rule ratio; "snap" is the
-        // snapshot ablation (per-group rebuild vs shared snapshot, batched).
-        std::printf("%-8s %-10s %10.3f %10.3f %10.3f %7.2fx %7.2fx %10.3f %10.3f\n",
-                    design.c_str(), mode_s, t_per_rule, t_nosnap, t_batched,
-                    t_per_rule / std::max(t_batched, 1e-9),
-                    t_nosnap / std::max(t_batched, 1e-9),
+        std::printf("%-8s %-10s %10.3f %10.3f %7.2fx %10.3f %10.3f\n", design.c_str(),
+                    mode_s, t_per_rule, t_batched, t_per_rule / std::max(t_batched, 1e-9),
                     counter_or(rep, base + "batched", "shared_seconds"),
                     counter_or(rep, base + "batched", "saved_seconds"));
       }

@@ -32,48 +32,30 @@ double shared_phase_seconds(const check_report& r) {
 }
 
 // Amortization accounting for one executed group: the shared phases ran once
-// instead of once per member rule.
-void count_group(deck_stats& ds, const check_report& shared, std::size_t members) {
+// instead of once per member rule. Returns the group's shared-phase seconds.
+double count_group(deck_stats& ds, const check_report& shared, std::size_t members) {
   const double secs = shared_phase_seconds(shared);
   ds.groups += 1;
   if (members > 1) ds.batched_rules += members;
   ds.shared_seconds += secs;
   ds.saved_seconds += secs * static_cast<double>(members - 1);
+  return secs;
 }
 
-// One singleton group per pair plan: the batch=off execution shape.
-std::vector<plan_group> singleton_groups(std::span<const exec_plan> plans) {
-  std::vector<plan_group> groups;
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    const exec_plan& p = plans[i];
-    if (p.cls != plan_class::pair) continue;
-    groups.push_back({p.layer1, p.layer2, p.two_layer, p.inflate, {i}});
-  }
-  return groups;
+std::vector<exec_plan> compile_plans(std::span<const rules::rule> deck) {
+  std::vector<exec_plan> plans;
+  plans.reserve(deck.size());
+  for (const rules::rule& r : deck) plans.push_back(compile_plan(r));
+  return plans;
 }
 
-// Supplies the layout snapshot for one deck run. With cfg.snapshot (the
-// default) every group shares one snapshot; with the ablation off, get()
-// rebuilds a fresh one per call — the pre-snapshot per-group behaviour.
-// Single-threaded use only (check_concurrent handles sharing itself).
-class snapshot_source {
- public:
-  snapshot_source(const db::library& lib, bool share) : lib_(lib), share_(share) {
-    if (share_) shared_.emplace(lib_);
-  }
-
-  layout_snapshot& get() {
-    if (share_) return *shared_;
-    fresh_.emplace(lib_);
-    return *fresh_;
-  }
-
- private:
-  const db::library& lib_;
-  bool share_;
-  std::optional<layout_snapshot> shared_;
-  std::optional<layout_snapshot> fresh_;
-};
+// Exact region semantics: keep precisely the violations with an offending
+// edge touching the window (candidate pruning examined a rule-distance halo).
+void keep_in_window(std::vector<violation>& vs, const rect& window) {
+  std::erase_if(vs, [&](const violation& v) {
+    return !window.overlaps(v.e1.mbr()) && !window.overlaps(v.e2.mbr());
+  });
+}
 
 }  // namespace
 
@@ -83,9 +65,6 @@ class snapshot_source {
 
 struct drc_engine::impl {
   stream_pool streams;
-  // Active region-of-interest (set only inside check_region): instance
-  // collection prunes to it and the final report is filtered to it.
-  std::optional<rect> region;
 };
 
 drc_engine::drc_engine(engine_config cfg) : cfg_(cfg), impl_(std::make_unique<impl>()) {
@@ -98,41 +77,13 @@ void drc_engine::add_rules(std::vector<rules::rule> deck) {
                std::make_move_iterator(deck.end()));
 }
 
-check_report drc_engine::check(const db::library& lib) {
-  if (cfg_.batch) return check_deck(lib).total;
-  check_report merged;
-  for (const rules::rule& r : deck_) merged.merge_from(check(lib, r));
-  return merged;
-}
+check_report drc_engine::check(const db::library& lib) { return check_deck(lib).total; }
 
 deck_report drc_engine::check_deck(const db::library& lib) {
   trace::span ts("engine", "check_deck", "rules", static_cast<std::int64_t>(deck_.size()));
-  deck_report out;
-  out.per_rule.resize(deck_.size());
-
-  std::vector<exec_plan> plans;
-  plans.reserve(deck_.size());
-  for (const rules::rule& r : deck_) plans.push_back(compile_plan(r));
-  const std::vector<plan_group> groups =
-      cfg_.batch ? group_pair_plans(plans) : singleton_groups(plans);
-
-  snapshot_source src(lib, cfg_.snapshot);
-  for (const plan_group& g : groups) {
-    group_report gr = run_pair_group(cfg_, impl_->streams, src.get(), plans, g, impl_->region);
-    count_group(out.total.deck, gr.shared, g.members.size());
-    for (std::size_t k = 0; k < g.members.size(); ++k) {
-      out.per_rule[g.members[k]].merge_from(std::move(gr.per_rule[k]));
-    }
-    out.total.merge_from(std::move(gr.shared));
-  }
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (plans[i].cls == plan_class::pair) continue;
-    // The plan was compiled at the top of this function — run it directly
-    // instead of re-dispatching through check(lib, rule), which recompiled.
-    out.per_rule[i] = run_compiled(lib, plans[i], impl_->streams, src.get(), impl_->region);
-  }
-  for (const check_report& r : out.per_rule) out.total.merge_from(check_report(r));
-  return out;
+  const std::vector<exec_plan> plans = compile_plans(deck_);
+  layout_snapshot snap(lib);
+  return check_deck(lib, plans, snap);
 }
 
 deck_report drc_engine::check_deck(const db::library& lib, std::span<const exec_plan> plans,
@@ -141,11 +92,9 @@ deck_report drc_engine::check_deck(const db::library& lib, std::span<const exec_
   trace::span ts("engine", "check_deck_plans", "rules", static_cast<std::int64_t>(plans.size()));
   deck_report out;
   out.per_rule.resize(plans.size());
-  const std::vector<plan_group> groups =
-      cfg_.batch ? group_pair_plans(plans) : singleton_groups(plans);
-  for (const plan_group& g : groups) {
+  for (const plan_group& g : group_pair_plans(plans)) {
     group_report gr = run_pair_group(cfg_, impl_->streams, snap, plans, g, window);
-    count_group(out.total.deck, gr.shared, g.members.size());
+    out.groups.push_back({g.members, count_group(out.total.deck, gr.shared, g.members.size())});
     for (std::size_t k = 0; k < g.members.size(); ++k) {
       out.per_rule[g.members[k]].merge_from(std::move(gr.per_rule[k]));
     }
@@ -162,23 +111,15 @@ deck_report drc_engine::check_deck(const db::library& lib, std::span<const exec_
 deck_report drc_engine::check_region(const db::library& lib, std::span<const exec_plan> plans,
                                      layout_snapshot& snap, const rect& window) {
   deck_report out = check_deck(lib, plans, snap, window);
-  // Exact semantics (mirrors the single-rule check_region): keep precisely
-  // the violations with an offending edge touching the window.
-  const auto outside = [&](const checks::violation& v) {
-    return !window.overlaps(v.e1.mbr()) && !window.overlaps(v.e2.mbr());
-  };
-  std::erase_if(out.total.violations, outside);
-  for (check_report& r : out.per_rule) std::erase_if(r.violations, outside);
+  keep_in_window(out.total.violations, window);
+  for (check_report& r : out.per_rule) keep_in_window(r.violations, window);
   return out;
 }
 
 check_report drc_engine::check_concurrent(const db::library& lib) {
   trace::span ts("engine", "check_concurrent", "rules", static_cast<std::int64_t>(deck_.size()));
-  std::vector<exec_plan> plans;
-  plans.reserve(deck_.size());
-  for (const rules::rule& r : deck_) plans.push_back(compile_plan(r));
-  const std::vector<plan_group> groups =
-      cfg_.batch ? group_pair_plans(plans) : singleton_groups(plans);
+  const std::vector<exec_plan> plans = compile_plans(deck_);
+  const std::vector<plan_group> groups = group_pair_plans(plans);
   std::vector<std::size_t> solo;  // non-pair rules, one task each
   for (std::size_t i = 0; i < plans.size(); ++i) {
     if (plans[i].cls != plan_class::pair) solo.push_back(i);
@@ -187,23 +128,19 @@ check_report drc_engine::check_concurrent(const db::library& lib) {
   // One task per group + one per remaining rule. Each task owns its stream
   // pool and memo tables; the layout snapshot is the exception — its caches
   // are thread-safe, so all tasks share ONE instead of each rebuilding the
-  // hierarchy. With the snapshot ablation off each task builds its own.
-  std::optional<layout_snapshot> shared_snap;
-  if (cfg_.snapshot) shared_snap.emplace(lib);
+  // hierarchy.
+  layout_snapshot snap(lib);
   const std::size_t ntasks = groups.size() + solo.size();
   std::vector<check_report> reports(ntasks);
   thread_pool::global().parallel_for(0, ntasks, [&](std::size_t t) {
     stream_pool local_streams;
-    std::optional<layout_snapshot> local_snap;
-    layout_snapshot& snap = shared_snap ? *shared_snap : local_snap.emplace(lib);
     if (t < groups.size()) {
-      group_report gr =
-          run_pair_group(cfg_, local_streams, snap, plans, groups[t], impl_->region);
+      group_report gr = run_pair_group(cfg_, local_streams, snap, plans, groups[t]);
       count_group(reports[t].deck, gr.shared, groups[t].members.size());
       reports[t].merge_from(std::move(gr).merged());
     } else {
       reports[t] =
-          run_compiled(lib, plans[solo[t - groups.size()]], local_streams, snap, impl_->region);
+          run_compiled(lib, plans[solo[t - groups.size()]], local_streams, snap, std::nullopt);
     }
   });
   check_report merged;
@@ -212,129 +149,30 @@ check_report drc_engine::check_concurrent(const db::library& lib) {
 }
 
 check_report drc_engine::check(const db::library& lib, const rules::rule& r) {
-  switch (r.kind) {
-    case checks::rule_kind::width: return run_width(lib, r.layer1, r.distance);
-    case checks::rule_kind::area: return run_area(lib, r.layer1, r.min_area);
-    case checks::rule_kind::rectilinear: return run_rectilinear(lib, r.layer1);
-    case checks::rule_kind::custom: return run_custom(lib, r.layer1, r.predicate);
-    case checks::rule_kind::spacing:
-      return r.spacing.count > 0 ? run_spacing(lib, r.layer1, r.spacing)
-                                 : run_spacing(lib, r.layer1, r.distance);
-    case checks::rule_kind::enclosure:
-      return run_enclosure(lib, r.layer1, r.layer2, r.distance);
-    case checks::rule_kind::overlap_area:
-    case checks::rule_kind::notcut_area:
-      return run_derived_area(lib, r.kind, r.layer1, r.layer2, r.min_area);
-    case checks::rule_kind::coloring:
-      return run_coloring(lib, r.layer1, r.distance);
-  }
-  return {};
+  layout_snapshot snap(lib);
+  return run_compiled(lib, compile_plan(r), impl_->streams, snap, std::nullopt);
 }
 
 check_report drc_engine::check_region(const db::library& lib, const rules::rule& r,
                                       const rect& window) {
-  impl_->region = window;
-  check_report report;
-  try {
-    report = check(lib, r);
-  } catch (...) {
-    impl_->region.reset();
-    throw;
-  }
-  impl_->region.reset();
-  // Exact semantics: keep precisely the violations with an offending edge
-  // touching the window (candidate pruning above examined a halo).
-  std::erase_if(report.violations, [&](const checks::violation& v) {
-    return !window.overlaps(v.e1.mbr()) && !window.overlaps(v.e2.mbr());
-  });
+  layout_snapshot snap(lib);
+  check_report report = run_compiled(lib, compile_plan(r), impl_->streams, snap, window);
+  keep_in_window(report.violations, window);
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Single-rule entry points: compile the rule into a plan and hand it to the
-// pipeline driver (a pair rule is a one-member group).
-// ---------------------------------------------------------------------------
-
 namespace {
-
-check_report run_single_pair_plan(const engine_config& cfg, stream_pool& streams,
-                                  layout_snapshot& snap, const rules::rule& r,
-                                  const std::optional<rect>& window) {
-  const exec_plan plan = compile_plan(r);
-  const plan_group g{plan.layer1, plan.layer2, plan.two_layer, plan.inflate, {0}};
-  return run_pair_group(cfg, streams, snap, std::span(&plan, 1), g, window).merged();
-}
-
-}  // namespace
-
-check_report drc_engine::run_compiled(const db::library& lib, const exec_plan& plan,
-                                      stream_pool& streams, layout_snapshot& snap,
-                                      const std::optional<rect>& window) {
-  switch (plan.cls) {
-    case plan_class::intra: return run_intra_plan(cfg_, streams, snap, plan, window);
-    case plan_class::pair: {
-      const plan_group g{plan.layer1, plan.layer2, plan.two_layer, plan.inflate, {0}};
-      return run_pair_group(cfg_, streams, snap, std::span(&plan, 1), g, window).merged();
-    }
-    case plan_class::global: break;
-  }
-  // Global plans flatten whole layers themselves; nothing in the snapshot
-  // applies to them.
-  const rules::rule& r = plan.rule;
-  if (r.kind == checks::rule_kind::coloring) return run_coloring(lib, r.layer1, r.distance);
-  return run_derived_area(lib, r.kind, r.layer1, r.layer2, r.min_area);
-}
-
-check_report drc_engine::run_width(const db::library& lib, layer_t layer, coord_t min_width) {
-  rules::rule r{checks::rule_kind::width, layer, layer, min_width, 0, {}, {}};
-  layout_snapshot snap(lib);
-  return run_intra_plan(cfg_, impl_->streams, snap, compile_plan(r), impl_->region);
-}
-
-check_report drc_engine::run_area(const db::library& lib, layer_t layer, area_t min_area) {
-  rules::rule r{checks::rule_kind::area, layer, layer, 0, min_area, {}, {}};
-  layout_snapshot snap(lib);
-  return run_intra_plan(cfg_, impl_->streams, snap, compile_plan(r), impl_->region);
-}
-
-check_report drc_engine::run_rectilinear(const db::library& lib, layer_t layer) {
-  rules::rule r{checks::rule_kind::rectilinear, layer, layer, 0, 0, {}, {}};
-  layout_snapshot snap(lib);
-  return run_intra_plan(cfg_, impl_->streams, snap, compile_plan(r), impl_->region);
-}
-
-check_report drc_engine::run_custom(const db::library& lib, layer_t layer,
-                                    const std::function<bool(const db::polygon_elem&)>& pred) {
-  rules::rule r{checks::rule_kind::custom, layer, layer, 0, 0, pred, {}};
-  layout_snapshot snap(lib);
-  return run_intra_plan(cfg_, impl_->streams, snap, compile_plan(r), impl_->region);
-}
-
-check_report drc_engine::run_spacing(const db::library& lib, layer_t layer, coord_t min_space) {
-  return run_spacing(lib, layer, checks::spacing_table::simple(min_space));
-}
-
-check_report drc_engine::run_spacing(const db::library& lib, layer_t layer,
-                                     const checks::spacing_table& table) {
-  rules::rule r{checks::rule_kind::spacing, layer,      layer, table.max_distance(),
-                0,                          {},         {},    table};
-  layout_snapshot snap(lib);
-  return run_single_pair_plan(cfg_, impl_->streams, snap, r, impl_->region);
-}
-
-check_report drc_engine::run_enclosure(const db::library& lib, layer_t inner, layer_t outer,
-                                       coord_t min_enclosure) {
-  rules::rule r{checks::rule_kind::enclosure, inner, outer, min_enclosure, 0, {}, {}};
-  layout_snapshot snap(lib);
-  return run_single_pair_plan(cfg_, impl_->streams, snap, r, impl_->region);
-}
 
 // ---------------------------------------------------------------------------
 // Multi-patterning coloring
 // ---------------------------------------------------------------------------
 
-check_report drc_engine::run_coloring(const db::library& lib, layer_t layer,
-                                      coord_t same_mask_spacing) {
+// Build the same-mask conflict graph (shapes closer than the rule distance)
+// and verify it is 2-colorable; every odd cycle produces one violation at the
+// edge that closes it.
+check_report run_coloring_plan(const db::library& lib, const rules::rule& r) {
+  const layer_t layer = r.layer1;
+  const coord_t same_mask_spacing = r.distance;
   check_report report;
   for (const cell_id top : lib.top_cells()) {
     const auto flat = db::flatten_layer(lib, top, layer);
@@ -394,8 +232,12 @@ check_report drc_engine::run_coloring(const db::library& lib, layer_t layer,
 // Derived-layer area rules (boolean masks)
 // ---------------------------------------------------------------------------
 
-check_report drc_engine::run_derived_area(const db::library& lib, checks::rule_kind kind,
-                                          layer_t a, layer_t b, area_t min_area) {
+// Every connected region of op(A, B) must have at least `min_area`, where op
+// is AND (overlap_area) or AND-NOT (notcut_area).
+check_report run_derived_area_plan(const db::library& lib, const rules::rule& r) {
+  const checks::rule_kind kind = r.kind;
+  const layer_t a = r.layer1, b = r.layer2;
+  const area_t min_area = r.min_area;
   check_report report;
   const geo::bool_op op =
       kind == checks::rule_kind::overlap_area ? geo::bool_op::intersect : geo::bool_op::subtract;
@@ -424,6 +266,26 @@ check_report drc_engine::run_derived_area(const db::library& lib, checks::rule_k
     }
   }
   return report;
+}
+
+}  // namespace
+
+check_report drc_engine::run_compiled(const db::library& lib, const exec_plan& plan,
+                                      stream_pool& streams, layout_snapshot& snap,
+                                      const std::optional<rect>& window) {
+  switch (plan.cls) {
+    case plan_class::intra: return run_intra_plan(cfg_, streams, snap, plan, window);
+    case plan_class::pair: {
+      // A single pair rule is a one-member group.
+      const plan_group g{plan.layer1, plan.layer2, plan.two_layer, plan.inflate, {0}};
+      return run_pair_group(cfg_, streams, snap, std::span(&plan, 1), g, window).merged();
+    }
+    case plan_class::global: break;
+  }
+  // Global plans flatten whole layers themselves; nothing in the snapshot
+  // applies to them.
+  return plan.rule.kind == checks::rule_kind::coloring ? run_coloring_plan(lib, plan.rule)
+                                                       : run_derived_area_plan(lib, plan.rule);
 }
 
 }  // namespace odrc::engine

@@ -72,19 +72,6 @@ struct engine_config {
   /// violation ordering.
   bool host_parallel = false;
 
-  /// Deck batching: rules whose compiled plans share a check-object space
-  /// (same layer set) execute over one shared pipeline pass — one instance
-  /// enumeration, one partition, one candidate sweep, and in parallel mode
-  /// one packed-edge upload per row evaluating every rule's predicate. Off:
-  /// each rule runs its own full pass (the pre-batching behaviour).
-  bool batch = true;
-
-  /// Deck-wide layout snapshot: one mbr_index / view cache / flat instance
-  /// list / master packed-edge cache shared by every rule group of a check
-  /// call (snapshot.hpp). Off (ablation): each group rebuilds them from
-  /// scratch — the pre-snapshot behaviour.
-  bool snapshot = true;
-
   /// SIMD dispatch policy for the hot kernels (simd.hpp): `automatic` probes
   /// CPUID (overridable per-process via ODRC_SIMD=off|avx2|auto), `off`
   /// forces the scalar path (ablation), `avx2` forces AVX2 where the CPU has
@@ -93,7 +80,7 @@ struct engine_config {
   simd::mode simd = simd::mode::automatic;
 };
 
-/// Deck-batching amortization counters (reported by the CLI's --batch path).
+/// Deck-batching amortization counters (reported by `odrc check`).
 struct deck_stats {
   std::size_t groups = 0;        ///< pair-plan groups executed
   std::size_t batched_rules = 0; ///< rules that shared a group with others
@@ -145,6 +132,14 @@ struct check_report {
   }
 };
 
+/// One executed pair-plan group: its member rules and the time of the phases
+/// they shared (partition / sweepline / pack / device), which no member's own
+/// report carries.
+struct group_timing {
+  std::vector<std::size_t> members;  ///< indices into deck_report::per_rule
+  double shared_seconds = 0;
+};
+
 /// Deck-level result with per-rule attribution preserved: `per_rule[i]` is
 /// rule i's own report (its violations, predicate counters and edge_check
 /// time; shared group phases are not attributed to individual rules), and
@@ -152,10 +147,14 @@ struct check_report {
 struct deck_report {
   check_report total;
   std::vector<check_report> per_rule;  ///< parallel to drc_engine::deck()
+  std::vector<group_timing> groups;    ///< pair-plan groups, in execution order
 };
 
-/// The DRC engine. Holds configuration and an optional rule deck; each
-/// run_* method executes one rule and returns its report.
+/// The DRC engine. Holds configuration and an optional rule deck. Every entry
+/// point compiles rules into plans (plan.hpp) and runs them over a layout
+/// snapshot: a deck's pair plans sharing a layer set form one group and run
+/// over one shared pipeline pass (deck batching); every other plan, and a
+/// single rule, goes through the one rule dispatch (run_compiled).
 class drc_engine {
  public:
   explicit drc_engine(engine_config cfg = {});
@@ -170,13 +169,14 @@ class drc_engine {
   void add_rules(std::vector<rules::rule> deck);
   [[nodiscard]] std::span<const rules::rule> deck() const { return deck_; }
 
-  /// Run every rule in the deck against `lib`; reports are merged. With
-  /// engine_config::batch (the default) this is check_deck(lib).total.
+  /// Run every rule in the deck against `lib`; reports are merged. Same as
+  /// check_deck(lib).total.
   check_report check(const db::library& lib);
 
-  /// Run the whole deck with per-rule report attribution. Rules whose plans
-  /// share a layer set are grouped (plan.hpp group_pair_plans) and executed
-  /// over one shared pipeline pass when engine_config::batch is set;
+  /// Run the whole deck with per-rule report attribution: compile the deck,
+  /// build one layout snapshot and run the plan-level check_deck below.
+  /// Rules whose plans share a layer set are grouped (plan.hpp
+  /// group_pair_plans) and executed over one shared pipeline pass;
   /// total.deck carries the amortization counters.
   deck_report check_deck(const db::library& lib);
 
@@ -199,13 +199,14 @@ class drc_engine {
                            layout_snapshot& snap, const rect& window);
 
   /// Task parallelism (paper Section I: "different design rules can be
-  /// checked concurrently"): run the deck's rules as independent tasks on
-  /// the host worker pool. Each task gets its own engine instance (and, in
-  /// parallel mode, its own device stream), so rule checks never share
-  /// mutable state. The merged report equals check(lib) up to ordering.
+  /// checked concurrently"): run the deck's plan groups and remaining rules
+  /// as independent tasks on the host worker pool. Each task owns its
+  /// memo tables and (in parallel mode) device streams; all tasks share one
+  /// layout snapshot, whose caches are thread-safe. The merged report equals
+  /// check(lib) up to ordering.
   check_report check_concurrent(const db::library& lib);
 
-  /// Run a single rule.
+  /// Run a single rule over a fresh snapshot.
   check_report check(const db::library& lib, const rules::rule& r);
 
   /// Region-of-interest (incremental) checking: report exactly the
@@ -218,39 +219,40 @@ class drc_engine {
   /// within the rule-distance-inflated window.
   check_report check_region(const db::library& lib, const rules::rule& r, const rect& window);
 
-  // --- individual checks ----------------------------------------------------
-  check_report run_width(const db::library& lib, db::layer_t layer, coord_t min_width);
-  check_report run_area(const db::library& lib, db::layer_t layer, area_t min_area);
-  check_report run_rectilinear(const db::library& lib, db::layer_t layer);
-  check_report run_custom(const db::library& lib, db::layer_t layer,
-                          const std::function<bool(const db::polygon_elem&)>& pred);
-  check_report run_spacing(const db::library& lib, db::layer_t layer, coord_t min_space);
+  // --- individual checks (each builds the rule and runs check(lib, r)) ------
+  check_report run_width(const db::library& lib, db::layer_t layer, coord_t min_width) {
+    return check(lib, rules::layer(layer).width().greater_than(min_width));
+  }
+  check_report run_area(const db::library& lib, db::layer_t layer, area_t min_area) {
+    return check(lib, rules::layer(layer).area().greater_than(min_area));
+  }
+  check_report run_spacing(const db::library& lib, db::layer_t layer, coord_t min_space) {
+    return check(lib, rules::layer(layer).spacing().greater_than(min_space));
+  }
 
   /// Conditional (PRL) spacing: requirement depends on the facing pair's
   /// parallel run length (paper Section II "conditional rules").
   check_report run_spacing(const db::library& lib, db::layer_t layer,
-                           const checks::spacing_table& table);
+                           const checks::spacing_table& table) {
+    return check(lib, {checks::rule_kind::spacing, layer, layer, table.max_distance(), 0, {},
+                       {}, table});
+  }
   check_report run_enclosure(const db::library& lib, db::layer_t inner, db::layer_t outer,
-                             coord_t min_enclosure);
+                             coord_t min_enclosure) {
+    return check(lib, rules::layer(inner).enclosed_by(outer).greater_than(min_enclosure));
+  }
 
-  /// Derived-layer area rules (paper Section I's inter-layer constraint
-  /// examples): every connected region of op(A, B) must have at least
-  /// `min_area`, where op is AND (overlap_area) or AND-NOT (notcut_area).
-  check_report run_derived_area(const db::library& lib, checks::rule_kind kind, db::layer_t a,
-                                db::layer_t b, area_t min_area);
-
-  /// Multi-patterning decomposition check: build the same-mask conflict
-  /// graph (shapes closer than `same_mask_spacing`) and verify it is
-  /// 2-colorable; every odd cycle produces one violation at the edge that
-  /// closes it.
+  /// Multi-patterning decomposition check: shapes closer than
+  /// `same_mask_spacing` must be 2-colorable (see rules::layer_sel).
   check_report run_coloring(const db::library& lib, db::layer_t layer,
-                            coord_t same_mask_spacing);
+                            coord_t same_mask_spacing) {
+    return check(lib, rules::layer(layer).two_colorable(same_mask_spacing));
+  }
 
  private:
-  /// Run one already-compiled plan against a shared snapshot — the deck
-  /// paths use this so a plan compiled once is never recompiled for
-  /// dispatch. Global plans (derived-area, coloring) flatten the layout
-  /// themselves and ignore the snapshot and the window.
+  /// The one rule dispatch: run one compiled plan against a snapshot. A pair
+  /// plan runs as a one-member group. Global plans (derived-area, coloring)
+  /// flatten the layout themselves and ignore the snapshot and the window.
   check_report run_compiled(const db::library& lib, const exec_plan& plan, stream_pool& streams,
                             layout_snapshot& snap, const std::optional<rect>& window);
 

@@ -3,9 +3,9 @@
 // Every distance rule executes the same way: enumerate the placed instances
 // carrying the rule's layer(s), partition their MBRs into adaptive rows and
 // clips, enumerate candidate pairs inside each clip, and evaluate an edge
-// predicate per candidate. This module owns that machinery ONCE; the engine's
-// run_* entry points compile their rule into an exec_plan (plan.hpp) and hand
-// it here.
+// predicate per candidate. This module owns that machinery ONCE; the engine
+// compiles each rule into an exec_plan (plan.hpp) and its one dispatch,
+// drc_engine::run_compiled, hands the plan here.
 //
 // The driver is written against plan *groups* rather than single plans:
 // run_pair_group() executes every member plan of one plan_group over a single

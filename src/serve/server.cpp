@@ -40,6 +40,22 @@ rect parse_window_args(std::istringstream& args, const char* verb) {
   return w;
 }
 
+// Reply body of check, check_region and query: "ok total N", one
+// "rule <name> <count>" line per rule with violations, then one "v <key>"
+// line per violation when the caller asked for keys (`keys` non-null).
+std::string summary_reply(const std::vector<report::summary_row>& rows,
+                          const std::vector<std::string>* keys) {
+  std::size_t total = 0;
+  for (const auto& r : rows) total += r.count;
+  std::ostringstream os;
+  os << "ok total " << total;
+  for (const auto& r : rows) os << "\nrule " << r.rule << ' ' << r.count;
+  if (keys) {
+    for (const std::string& k : *keys) os << "\nv " << k;
+  }
+  return os.str();
+}
+
 }  // namespace
 
 // Pushes a delta under the connection's write mutex — interleaved with the
@@ -391,15 +407,8 @@ std::string server::dispatch(const frame& f) {
       // workers hit one session concurrently.
       const auto rows =
           s->check_full([&](const report::key_diff& d) { subs_.publish(sid, d); });
-      std::size_t total = 0;
-      for (const auto& r : rows) total += r.count;
-      std::ostringstream os;
-      os << "ok total " << total;
-      for (const auto& r : rows) os << "\nrule " << r.rule << ' ' << r.count;
-      if (want_keys) {
-        for (const std::string& k : s->keys()) os << "\nv " << k;
-      }
-      return os.str();
+      const std::vector<std::string> keys = want_keys ? s->keys() : std::vector<std::string>{};
+      return summary_reply(rows, want_keys ? &keys : nullptr);
     }
     case msg_type::check_region: {
       auto s = need_session();
@@ -408,15 +417,7 @@ std::string server::dispatch(const frame& f) {
       std::string flag;
       args >> flag;
       const session::window_result r = s->check_window(w);
-      std::size_t total = 0;
-      for (const auto& row : r.rows) total += row.count;
-      std::ostringstream os;
-      os << "ok total " << total;
-      for (const auto& row : r.rows) os << "\nrule " << row.rule << ' ' << row.count;
-      if (flag == "keys") {
-        for (const std::string& k : r.keys) os << "\nv " << k;
-      }
-      return os.str();
+      return summary_reply(r.rows, flag == "keys" ? &r.keys : nullptr);
     }
     case msg_type::query: {
       auto s = need_session();
@@ -425,15 +426,7 @@ std::string server::dispatch(const frame& f) {
       std::string flag;
       args >> flag;
       const session::window_result r = s->query_stored(w);
-      std::size_t total = 0;
-      for (const auto& row : r.rows) total += row.count;
-      std::ostringstream os;
-      os << "ok total " << total;
-      for (const auto& row : r.rows) os << "\nrule " << row.rule << ' ' << row.count;
-      if (flag == "keys") {
-        for (const std::string& k : r.keys) os << "\nv " << k;
-      }
-      return os.str();
+      return summary_reply(r.rows, flag == "keys" ? &r.keys : nullptr);
     }
     case msg_type::shard: {
       auto s = need_session();

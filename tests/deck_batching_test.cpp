@@ -1,6 +1,7 @@
 // Deck-batching equivalence tests: rules grouped onto a shared pipeline pass
-// (engine_config::batch) must report exactly the violations of per-rule
-// execution, in every mode, with per-rule attribution preserved.
+// must report exactly the violations of solo per-rule execution
+// (check(lib, rule), each over its own snapshot), in every mode, with
+// per-rule attribution preserved.
 #include <gtest/gtest.h>
 
 #include "engine/engine.hpp"
@@ -18,9 +19,10 @@ std::vector<checks::violation> norm(std::vector<checks::violation> v) {
   return v;
 }
 
-// A deck built to batch: 9 rules over 4 layers, of which 7 are pair rules
+// A deck built to batch: 11 rules over 4 layers, of which 7 are pair rules
 // sharing 3 groups — M1 spacing ×3 (one with a PRL tier), M2 spacing ×2,
-// V1-in-M1 enclosure ×2 — plus two intra rules that run solo.
+// V1-in-M1 enclosure ×2 — plus two intra rules and two global rules
+// (derived-area, coloring) that run solo: every plan_class is present.
 std::vector<rules::rule> batched_deck() {
   return {
       rules::layer(layers::M1).spacing().greater_than(tech::wire_space),
@@ -32,6 +34,11 @@ std::vector<rules::rule> batched_deck() {
       rules::layer(layers::V1).enclosed_by(layers::M1).greater_than(2),
       rules::layer(layers::M1).width().greater_than(tech::wire_width),
       rules::layer(layers::M1).area().greater_than(tech::min_area),
+      // One dbu^2 above a full via, so every V1 landing reports; M2 shows odd
+      // conflict cycles from a 60 dbu same-mask spacing.
+      rules::layer(layers::V1).overlap_with(layers::M1)
+          .area_at_least(tech::via_size * tech::via_size + 1),
+      rules::layer(layers::M2).two_colorable(60),
   };
 }
 
@@ -65,31 +72,28 @@ TEST(DeckBatching, GroupingKeyIsLayerSet) {
   EXPECT_EQ(groups[2].inflate, tech::via_enclosure);
 }
 
-// Batched == unbatched == concurrent, for both modes.
+// check(lib) == check_deck(lib).total == check_concurrent(lib) == the union
+// of solo check(lib, rule) runs, for both modes.
 TEST(DeckBatching, BatchedDeckMatchesPerRuleExecution) {
   const db::library lib = make_lib();
   const std::vector<rules::rule> deck = batched_deck();
 
   for (const mode m : {mode::sequential, mode::parallel}) {
-    engine_config on;
-    on.run_mode = m;
-    on.batch = true;
-    engine_config off = on;
-    off.batch = false;
-
-    drc_engine batched(on);
-    batched.add_rules(deck);
-    const auto vb = norm(batched.check(lib).violations);
+    engine_config cfg;
+    cfg.run_mode = m;
+    drc_engine e(cfg);
+    e.add_rules(deck);
+    const auto vb = norm(e.check(lib).violations);
     EXPECT_FALSE(vb.empty());
 
-    drc_engine per_rule(off);
-    per_rule.add_rules(deck);
-    EXPECT_EQ(vb, norm(per_rule.check(lib).violations)) << "mode=" << static_cast<int>(m);
-
-    drc_engine concurrent(on);
-    concurrent.add_rules(deck);
-    EXPECT_EQ(vb, norm(concurrent.check_concurrent(lib).violations))
-        << "mode=" << static_cast<int>(m);
+    std::vector<checks::violation> solo;
+    for (const rules::rule& r : deck) {
+      const auto vs = e.check(lib, r).violations;
+      solo.insert(solo.end(), vs.begin(), vs.end());
+    }
+    EXPECT_EQ(vb, norm(solo)) << "mode=" << static_cast<int>(m);
+    EXPECT_EQ(vb, norm(e.check_deck(lib).total.violations)) << "mode=" << static_cast<int>(m);
+    EXPECT_EQ(vb, norm(e.check_concurrent(lib).violations)) << "mode=" << static_cast<int>(m);
   }
 }
 
@@ -122,18 +126,9 @@ TEST(DeckBatching, AmortizationStatsRecorded) {
   batched.add_rules(deck);
   const deck_stats on = batched.check_deck(lib).total.deck;
   EXPECT_EQ(on.groups, 3u);
-  EXPECT_EQ(on.batched_rules, 7u);  // the two intra rules run solo
+  EXPECT_EQ(on.batched_rules, 7u);  // the intra and global rules run solo
   EXPECT_GT(on.shared_seconds, 0.0);
   EXPECT_GE(on.saved_seconds, 0.0);
-
-  engine_config off_cfg;
-  off_cfg.batch = false;
-  drc_engine off(off_cfg);
-  off.add_rules(deck);
-  const deck_stats off_stats = off.check_deck(lib).total.deck;
-  EXPECT_EQ(off_stats.groups, 7u);  // one singleton group per pair rule
-  EXPECT_EQ(off_stats.batched_rules, 0u);
-  EXPECT_EQ(off_stats.saved_seconds, 0.0);
 }
 
 // The ablation switches compose with batching: partition off and memoization

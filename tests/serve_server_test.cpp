@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -128,6 +129,51 @@ TEST_F(ServeServer, EndToEndEditRecheckMatchesFullCheck) {
   ASSERT_TRUE(client::ok(dif2));
   EXPECT_EQ(field(client::status_line(dif2), "fixed"), 0);
   EXPECT_EQ(field(client::status_line(dif2), "new"), 0);
+}
+
+// check, check_region and query share one reply body: "ok total N", one
+// "rule <name> <count>" line per deck rule that has violations, then one
+// "v <key>" line per violation only when the request asks for keys. With a
+// window covering the layout all three report the same rule rows.
+TEST_F(ServeServer, CheckRegionAndQueryShareReplyBody) {
+  client c;
+  c.connect(path);
+  // A 10x10 square on an otherwise clean layout: two width violations (one
+  // per axis) and one area violation.
+  ASSERT_TRUE(client::ok(c.request(msg_type::edit, 0, "add_poly top 19 5000 5000 5010 5010\n")));
+  const std::map<std::string, long> want_rows = {{"M1.W", 2}, {"M1.A", 1}};
+  const std::string window = "0 0 6000 6000";
+  const std::pair<msg_type, std::string> verbs[] = {
+      {msg_type::check, ""}, {msg_type::check_region, window}, {msg_type::query, window}};
+  for (const auto& [type, args] : verbs) {
+    for (const bool keys : {false, true}) {
+      const std::string payload = keys ? (args.empty() ? "keys" : args + " keys") : args;
+      const frame f = c.request(type, 0, payload);
+      ASSERT_TRUE(client::ok(f)) << f.payload;
+      std::istringstream body(f.payload);
+      std::string line;
+      ASSERT_TRUE(std::getline(body, line));
+      EXPECT_EQ(line.rfind("ok total ", 0), 0u) << line;
+      const long total = field(line, "total");
+      std::map<std::string, long> rows;
+      long key_lines = 0;
+      while (std::getline(body, line)) {
+        std::istringstream row(line);
+        std::string tag, name;
+        row >> tag >> name;
+        if (tag == "rule") {
+          EXPECT_EQ(key_lines, 0) << "rule line after a key line: " << line;
+          row >> rows[name];
+        } else {
+          EXPECT_EQ(tag, "v") << line;
+          ++key_lines;
+        }
+      }
+      EXPECT_EQ(rows, want_rows) << payload;
+      EXPECT_EQ(total, 3) << payload;
+      EXPECT_EQ(key_lines, keys ? total : 0) << payload;
+    }
+  }
 }
 
 TEST_F(ServeServer, ErrorsAreRepliesNotDisconnects) {

@@ -2,8 +2,8 @@
 // The snapshot (one shared mbr_index + view cache + memoized instance lists
 // + master-local packed edges per check call) must be invisible in the
 // results: every mode, mixed decks, multiple top cells, windowed region
-// checks and concurrent execution report exactly what a per-group rebuild
-// reports. The parallel branch's pack-ahead must be deterministic across
+// checks and concurrent execution report exactly what solo per-rule runs
+// (check(lib, rule), each over its own fresh snapshot) report. The parallel branch's pack-ahead must be deterministic across
 // pipeline depths (and worker counts — exercised by the PackAheadWorkers*
 // ctest entries, since the global pool is sized once per process). The
 // env-gated overlap test asserts the point of the pipeline: host packing of
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/plan.hpp"
 #include "infra/trace.hpp"
 #include "workload/workload.hpp"
 
@@ -86,35 +87,27 @@ db::library two_top_lib() {
   return lib;
 }
 
-// Snapshot on vs. off must agree rule-for-rule over the whole deck, in both
-// modes, including the per-rule attribution of check_deck.
+// The deck run over one shared snapshot must agree rule-for-rule with solo
+// runs that each rebuild the snapshot, in both modes, including the per-rule
+// attribution of check_deck.
 TEST(SnapshotEquivalence, MixedDeckMatchesPerGroupRebuild) {
   const db::library lib = two_top_lib();
   ASSERT_GE(lib.top_cells().size(), 2u);
   const std::vector<rules::rule> deck = mixed_deck();
 
   for (const mode m : {mode::sequential, mode::parallel}) {
-    engine_config on;
-    on.run_mode = m;
-    on.snapshot = true;
-    engine_config off = on;
-    off.snapshot = false;
+    engine_config cfg;
+    cfg.run_mode = m;
+    drc_engine e(cfg);
+    e.add_rules(deck);
+    const deck_report dr = e.check_deck(lib);
 
-    drc_engine cached(on);
-    cached.add_rules(deck);
-    deck_report dr_on = cached.check_deck(lib);
-
-    drc_engine rebuilt(off);
-    rebuilt.add_rules(deck);
-    deck_report dr_off = rebuilt.check_deck(lib);
-
-    ASSERT_EQ(dr_on.per_rule.size(), deck.size());
-    ASSERT_EQ(dr_off.per_rule.size(), deck.size());
+    ASSERT_EQ(dr.per_rule.size(), deck.size());
     bool any = false;
     for (std::size_t i = 0; i < deck.size(); ++i) {
-      EXPECT_EQ(norm(dr_on.per_rule[i].violations), norm(dr_off.per_rule[i].violations))
+      EXPECT_EQ(norm(dr.per_rule[i].violations), norm(e.check(lib, deck[i]).violations))
           << "mode=" << static_cast<int>(m) << " rule " << i;
-      any = any || !dr_on.per_rule[i].violations.empty();
+      any = any || !dr.per_rule[i].violations.empty();
     }
     EXPECT_TRUE(any);
   }
@@ -126,15 +119,15 @@ TEST(SnapshotEquivalence, SecondTopCellContributes) {
   const db::library base = workload::generate(base_spec()).lib;
   const db::library both = two_top_lib();
 
-  engine_config cfg;
-  cfg.snapshot = true;
-  drc_engine e(cfg);
+  drc_engine e;
   e.add_rules({rules::layer(layers::M1).spacing().greater_than(tech::wire_space)});
   EXPECT_GT(e.check(both).violations.size(), e.check(base).violations.size());
 }
 
-// Windowed region checks go through the same shared index; on vs. off must
-// agree under a window, for a pair rule and an enclosure rule, both modes.
+// Windowed region checks over one shared snapshot (the plan-level
+// check_region) must agree rule-for-rule with single-rule check_region runs,
+// each over its own snapshot, for a pair rule and an enclosure rule, both
+// modes.
 TEST(SnapshotEquivalence, WindowedRegionCheckMatches) {
   const db::library lib = two_top_lib();
   const rect window{0, 0, 2500, 1500};
@@ -142,50 +135,44 @@ TEST(SnapshotEquivalence, WindowedRegionCheckMatches) {
       rules::layer(layers::M1).spacing().greater_than(tech::wire_space),
       rules::layer(layers::V1).enclosed_by(layers::M1).greater_than(tech::via_enclosure),
   };
+  std::vector<exec_plan> plans;
+  for (const rules::rule& r : probes) plans.push_back(compile_plan(r));
 
   for (const mode m : {mode::sequential, mode::parallel}) {
-    for (const rules::rule& r : probes) {
-      engine_config on;
-      on.run_mode = m;
-      on.snapshot = true;
-      engine_config off = on;
-      off.snapshot = false;
-
-      drc_engine cached(on);
-      drc_engine rebuilt(off);
-      EXPECT_EQ(norm(cached.check_region(lib, r, window).violations),
-                norm(rebuilt.check_region(lib, r, window).violations))
-          << "mode=" << static_cast<int>(m);
+    engine_config cfg;
+    cfg.run_mode = m;
+    drc_engine e(cfg);
+    layout_snapshot snap(lib);
+    const deck_report dr = e.check_region(lib, plans, snap, window);
+    ASSERT_EQ(dr.per_rule.size(), probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_EQ(norm(dr.per_rule[i].violations),
+                norm(e.check_region(lib, probes[i], window).violations))
+          << "mode=" << static_cast<int>(m) << " rule " << i;
     }
   }
 }
 
 // check_concurrent shares ONE snapshot across its group tasks; the shared
-// cache must not change what the per-engine rebuild reports.
+// cache must not change what solo runs, each over a fresh snapshot, report.
 TEST(SnapshotEquivalence, ConcurrentSharesOneSnapshot) {
   const db::library lib = two_top_lib();
   const std::vector<rules::rule> deck = mixed_deck();
 
   for (const mode m : {mode::sequential, mode::parallel}) {
-    engine_config on;
-    on.run_mode = m;
-    on.snapshot = true;
-    engine_config off = on;
-    off.snapshot = false;
-
-    drc_engine shared(on);
-    shared.add_rules(deck);
-    const auto vs = norm(shared.check_concurrent(lib).violations);
+    engine_config cfg;
+    cfg.run_mode = m;
+    drc_engine e(cfg);
+    e.add_rules(deck);
+    const auto vs = norm(e.check_concurrent(lib).violations);
     EXPECT_FALSE(vs.empty());
-
-    drc_engine rebuilt(off);
-    rebuilt.add_rules(deck);
-    EXPECT_EQ(vs, norm(rebuilt.check_concurrent(lib).violations))
-        << "mode=" << static_cast<int>(m);
-
-    drc_engine serial(on);
-    serial.add_rules(deck);
-    EXPECT_EQ(vs, norm(serial.check(lib).violations)) << "mode=" << static_cast<int>(m);
+    std::vector<checks::violation> solo;
+    for (const rules::rule& r : deck) {
+      const auto rv = e.check(lib, r).violations;
+      solo.insert(solo.end(), rv.begin(), rv.end());
+    }
+    EXPECT_EQ(vs, norm(solo)) << "mode=" << static_cast<int>(m);
+    EXPECT_EQ(vs, norm(e.check(lib).violations)) << "mode=" << static_cast<int>(m);
   }
 }
 
@@ -253,11 +240,6 @@ TEST(PackAhead, ReflectedPlacementsMatchSequential) {
   par.run_mode = mode::parallel;
   drc_engine cached(par);
   EXPECT_EQ(norm(cached.check(lib, r).violations), expect);
-
-  engine_config par_off = par;
-  par_off.snapshot = false;
-  drc_engine rebuilt(par_off);
-  EXPECT_EQ(norm(rebuilt.check(lib, r).violations), expect);
 }
 
 // --- trace-overlap acceptance --------------------------------------------

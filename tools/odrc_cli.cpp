@@ -55,8 +55,8 @@ using namespace odrc;
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  odrc check <layout.gds> <rules.deck> [--mode=seq|par] [--batch=on|off]\n"
-               "             [--simd=auto|off|avx2] [--window=x1,y1,x2,y2] [--report=out.txt]\n"
+               "  odrc check <layout.gds> <rules.deck> [--mode=seq|par] [--simd=auto|off|avx2]\n"
+               "             [--window=x1,y1,x2,y2] [--report=out.txt]\n"
                "             [--markers=out.gds] [--json=out.json] [--trace=out_trace.json]\n"
                "             [--metrics] [--bench-json=out.json]\n"
                "             (also accepts --lef=<f> --def=<f>)\n"
@@ -112,6 +112,15 @@ std::vector<std::string> opt_values(int argc, char** argv, const char* name) {
   return out;
 }
 
+// "--mode=seq|par" -> execution branch; nullopt (after a message) for any
+// other value, which the commands turn into a usage error.
+std::optional<engine::mode> parse_mode(const std::string& s) {
+  if (s == "seq") return engine::mode::sequential;
+  if (s == "par") return engine::mode::parallel;
+  std::fprintf(stderr, "unknown --mode value '%s' (want seq|par)\n", s.c_str());
+  return std::nullopt;
+}
+
 // "--window=x1,y1,x2,y2" -> rect; nullopt when absent, throws on malformed.
 std::optional<rect> parse_window(int argc, char** argv) {
   const std::string s = opt_value(argc, argv, "window", "");
@@ -131,6 +140,8 @@ int cmd_check(int argc, char** argv) {
   const std::string gds = argv[2];
   const std::string deck_path = argv[3];
   const std::string mode_s = opt_value(argc, argv, "mode", "seq");
+  const std::optional<engine::mode> run_mode = parse_mode(mode_s);
+  if (!run_mode) return usage();
   const std::string report_path = opt_value(argc, argv, "report", "");
   const std::string markers_path = opt_value(argc, argv, "markers", "");
   const std::string json_path = opt_value(argc, argv, "json", "");
@@ -148,10 +159,8 @@ int cmd_check(int argc, char** argv) {
               lib.cell_count(), static_cast<unsigned long long>(lib.expanded_polygon_count()),
               deck.size(), deck_path.c_str());
 
-  const std::string batch_s = opt_value(argc, argv, "batch", "on");
   engine_config cfg;
-  cfg.run_mode = mode_s == "par" ? engine::mode::parallel : engine::mode::sequential;
-  cfg.batch = batch_s != "off";
+  cfg.run_mode = *run_mode;
   const std::string simd_s = opt_value(argc, argv, "simd", "auto");
   if (auto m = simd::parse_mode(simd_s.c_str())) {
     cfg.simd = *m;
@@ -196,20 +205,25 @@ int cmd_check(int argc, char** argv) {
                   trace_path.c_str());
     }
   }
+  // A rule's time is its own predicate time; the phases a pair-plan group
+  // shares (partition, sweepline, pack, device) are printed once per group.
   for (std::size_t i = 0; i < deck.size(); ++i) {
     const double secs = dr.per_rule[i].phases.total();
-    std::printf("  %-16s %8.3fs  %zu violations\n", deck[i].name.c_str(), secs,
+    std::printf("  %-16s %8.3fs own  %zu violations\n", deck[i].name.c_str(), secs,
                 dr.per_rule[i].violations.size());
     db.add(deck[i].name, dr.per_rule[i].violations);
   }
+  std::size_t pair_rules = 0;
+  for (const engine::group_timing& g : dr.groups) {
+    std::string names;
+    for (const std::size_t i : g.members) names += (names.empty() ? "" : ",") + deck[i].name;
+    std::printf("  group %-20s %8.3fs shared\n", names.c_str(), g.shared_seconds);
+    pair_rules += g.members.size();
+  }
   engine::check_report& total = dr.total;
-  std::printf("total: %zu violations in %.3fs (%s mode, batch %s)\n", total.violations.size(),
-              t_total.seconds(), mode_s.c_str(), cfg.batch ? "on" : "off");
+  std::printf("total: %zu violations in %.3fs (%s mode)\n", total.violations.size(),
+              t_total.seconds(), mode_s.c_str());
   if (total.deck.groups > 0) {
-    std::size_t pair_rules = 0;
-    for (const rules::rule& r : deck) {
-      if (engine::compile_plan(r).cls == engine::plan_class::pair) ++pair_rules;
-    }
     std::printf(
         "batching: %zu pair rules in %zu groups (%.1f rules/group, %zu sharing a pass), "
         "shared phases %.3fs, est. time saved %.3fs\n",
@@ -255,7 +269,7 @@ int cmd_check(int argc, char** argv) {
     br.mode = "cli";
     br.scale = 1.0;
     bench::case_result c;
-    c.name = "check/" + std::string(mode_s) + "/batch-" + (cfg.batch ? "on" : "off");
+    c.name = "check/" + mode_s;
     c.repetitions = 1;
     c.warmup = 0;
     c.wall_s = {check_seconds};
@@ -378,13 +392,13 @@ int cmd_serve(int argc, char** argv) {
     std::fprintf(stderr, "odrc serve: --socket=PATH or --listen=EP is required\n");
     return 2;
   }
+  const std::optional<engine::mode> run_mode = parse_mode(opt_value(argc, argv, "mode", "par"));
+  if (!run_mode) return usage();
   const std::string trace_path = opt_value(argc, argv, "trace", "");
   if (!trace_path.empty()) trace::recorder::instance().enable();
 
   engine_config cfg;
-  cfg.run_mode =
-      std::string(opt_value(argc, argv, "mode", "par")) == "seq" ? engine::mode::sequential
-                                                                 : engine::mode::parallel;
+  cfg.run_mode = *run_mode;
   if (auto m = simd::parse_mode(opt_value(argc, argv, "simd", "auto").c_str())) cfg.simd = *m;
   serve::session_manager sessions;
   {
@@ -495,6 +509,7 @@ int cmd_coord(int argc, char** argv) {
   }
   const std::string snap_path = opt_value(argc, argv, "snapshot", "");
   const std::string mode_s = opt_value(argc, argv, "mode", "par");
+  if (!parse_mode(mode_s)) return usage();
   const std::string workers_s = opt_value(argc, argv, "workers", "2");
 
   std::vector<std::string> worker_eps = opt_values(argc, argv, "worker");
