@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
         engine::layout_snapshot snap(lib, fs);
         engine::drc_engine eng;
         eng.add_rules(deck);
-        const engine::deck_report dr = eng.check_deck(lib, plans, snap);
+        const engine::deck_report dr = eng.check_deck(plans, snap);
         violations = dr.total.violations.size();
       }
       ctx.counter("violations", static_cast<double>(violations));

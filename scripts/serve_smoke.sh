@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Serve smoke: boot `odrc serve` on a generated design, drive the whole verb
 # set through `odrc client`, and require the incremental path (recheck with
-# full=0) plus per-request spans in the --trace output. A final phase boots
+# full=0) plus per-request spans in the --trace output. A V1 via moved half
+# off its M1 finger must recheck incrementally to exactly the key set of a
+# fresh check (the derived-area rule V1.M1.OV included). A final phase boots
 # an `odrc coord` fleet and requires the scatter-gathered check to match the
-# single-process total.
+# single-process total, and the same via edit to recheck exactly on the fleet.
 #
 # Usage: scripts/serve_smoke.sh <build-dir>
 set -euo pipefail
@@ -43,6 +45,28 @@ grep -q "full 0" <<<"$recheck_out" || { echo "FAIL: recheck was not incremental"
 grep -Eq "new [1-9]" <<<"$recheck_out" || { echo "FAIL: edit introduced no violations"; exit 1; }
 
 cli diff | head -1 | grep -q "^ok fixed 0 new"
+
+# Move the first V1 via of INVx1 (a master: every placement changes) half off
+# its 18 nm M1 finger: the overlap drops to 32 < 64 and V1.M1.EN.1 fires too.
+# The recheck must stay incremental and leave exactly the key set of a fresh
+# full check in the store.
+printf 'move_poly INVx1 21 0 9 0\n' > "$work/via.txt"
+die="-1000000000 -1000000000 1000000000 1000000000"
+via_recheck() {  # <client-fn> <label>
+  "$1" edit "$work/via.txt" | grep -q "^ok applied 1"
+  local out
+  out=$("$1" recheck)
+  echo "$out"
+  grep -q "full 0" <<<"$out" || { echo "FAIL: $2 via recheck was not incremental"; exit 1; }
+  grep -Eq "new [1-9]" <<<"$out" || { echo "FAIL: $2 via edit introduced no violations"; exit 1; }
+  # shellcheck disable=SC2086
+  "$1" query $die keys | grep '^v ' | sort > "$work/stored_$2.txt"
+  "$1" check keys | grep '^v ' | sort > "$work/fresh_$2.txt"
+  grep -q "^v V1.M1.OV|" "$work/fresh_$2.txt" || { echo "FAIL: $2 via edit left V1.M1.OV clean"; exit 1; }
+  diff -q "$work/stored_$2.txt" "$work/fresh_$2.txt" > /dev/null \
+    || { echo "FAIL: $2 stored keys after the via recheck != fresh check"; diff "$work/stored_$2.txt" "$work/fresh_$2.txt" | head; exit 1; }
+}
+via_recheck cli single
 
 # ---------------------------------------------------------------------------
 # Subscription phase (DESIGN.md §12): a background subscriber must receive
@@ -161,6 +185,7 @@ cli3() { "$odrc" client --socket="$csock" "$@"; }
 cli3 ping | grep -q "ok pong"
 cli3 check | head -1 | grep -qx "$cold_total" || { echo "FAIL: sharded check != single-process check"; exit 1; }
 cli3 check_region 0 0 200000 200000 | head -1 | grep -q "^ok total" || { echo "FAIL: scatter check_region"; exit 1; }
+via_recheck cli3 coord
 
 stats_out=$(cli3 stats)
 grep -q "^shard 0 " <<<"$stats_out" || { echo "FAIL: no shard 0 line in coord stats"; exit 1; }

@@ -47,14 +47,6 @@ std::vector<flat_polygon> flatten_all(const library& lib, cell_id top) {
   return out;
 }
 
-std::vector<placed_cell> flat_instance_list(const library& lib, cell_id top) {
-  std::vector<placed_cell> out;
-  walk_instances(lib, top, transform{}, [&](cell_id id, const transform& t) {
-    if (!lib.at(id).polygons().empty()) out.push_back({id, t});
-  });
-  return out;
-}
-
 namespace {
 
 void walk_layer(const mbr_index& index, cell_id id, layer_t layer, const transform& to_top,

@@ -35,13 +35,11 @@ struct placed_cell {
   transform to_top;
 };
 
-/// Expand the hierarchy into a flat list of *leaf-level placements*: one
-/// entry per instantiation of every cell that directly contains polygons.
-/// Cells that only aggregate references produce no entries of their own.
-[[nodiscard]] std::vector<placed_cell> flat_instance_list(const library& lib, cell_id top);
-
-/// Like flat_instance_list but only instances with content on `layer`
-/// (pruned via the MBR index's per-layer duplicated children).
+/// Expand the hierarchy into a flat list of *leaf-level placements* on
+/// `layer`: one entry per instantiation of every cell that directly contains
+/// polygons on it (pruned via the MBR index's per-layer duplicated
+/// children). Cells that only aggregate references produce no entries of
+/// their own.
 [[nodiscard]] std::vector<placed_cell> flat_instance_list(const mbr_index& index, cell_id top,
                                                           layer_t layer);
 

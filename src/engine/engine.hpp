@@ -23,6 +23,10 @@
 //
 // Intra-polygon rules (width, area, shape) run per master in both modes and
 // reuse results across instances (Section IV-C intra-polygon pruning).
+//
+// Derived-area (boolean) and coloring rules partition like distance rules —
+// inflate 0 so abutting shapes share a clip, the same-mask spacing for
+// coloring — and evaluate each clip's whole shape set once on the host.
 #pragma once
 
 #include <cstdint>
@@ -152,9 +156,9 @@ struct deck_report {
 
 /// The DRC engine. Holds configuration and an optional rule deck. Every entry
 /// point compiles rules into plans (plan.hpp) and runs them over a layout
-/// snapshot: a deck's pair plans sharing a layer set form one group and run
-/// over one shared pipeline pass (deck batching); every other plan, and a
-/// single rule, goes through the one rule dispatch (run_compiled).
+/// snapshot: a deck's pair plans sharing a layer set and evaluator form one
+/// group and run over one shared pipeline pass (deck batching); intra plans,
+/// and a single rule, run alone.
 class drc_engine {
  public:
   explicit drc_engine(engine_config cfg = {});
@@ -182,21 +186,35 @@ class drc_engine {
 
   /// Plan-level variant for warm-path callers (odrc::serve sessions, the
   /// CLI --window route): run already-compiled `plans` against a
-  /// caller-owned snapshot — no recompilation, no snapshot rebuild.
-  /// `per_rule` is parallel to `plans`. `window` restricts candidate
-  /// collection to its rule-halo inflation; the reports are NOT filtered to
-  /// the window (use the check_region overload for the exact region
-  /// semantics). Global plans (derived-area, coloring) ignore the window and
-  /// run in full.
-  deck_report check_deck(const db::library& lib, std::span<const exec_plan> plans,
-                         layout_snapshot& snap, const std::optional<rect>& window = {});
+  /// caller-owned snapshot of the library — no recompilation, no snapshot
+  /// rebuild. `per_rule` is parallel to `plans`. `window` restricts candidate
+  /// collection to its rule-halo inflation; whole-clip plans (derived-area,
+  /// coloring) partition every object and evaluate each clip whose extent
+  /// overlaps the window, so every derived region and conflict component
+  /// with a violation edge in the window is evaluated whole. The reports are
+  /// NOT filtered to the window (use check_region for the exact region
+  /// semantics).
+  deck_report check_deck(std::span<const exec_plan> plans, layout_snapshot& snap,
+                         const std::optional<rect>& window = {});
 
   /// Region-of-interest over precompiled plans: exactly the violations with
   /// at least one offending edge intersecting `window`, examining only
-  /// objects near the window. The deck/plan-level analogue of the
-  /// single-rule check_region below.
-  deck_report check_region(const db::library& lib, std::span<const exec_plan> plans,
-                           layout_snapshot& snap, const rect& window);
+  /// objects near the window (clips overlapping it, for whole-clip plans).
+  /// The deck/plan-level analogue of the single-rule check_region below.
+  deck_report check_region(std::span<const exec_plan> plans, layout_snapshot& snap,
+                           const rect& window);
+
+  /// The windows `plan` must purge and recheck after edits whose old ∪ new
+  /// extents are `dirty` (parallel to it) — the incremental scheduler's one
+  /// window rule for every plan class. Each dirty rect grows by the plan's
+  /// interaction distance: every changed pair violation has both edges
+  /// inside. For whole_clip plans it grows further to the extent of every
+  /// partition clip it overlaps: a derived region or conflict component the
+  /// edits changed has a shape within the interaction distance of the dirty
+  /// rect, so its clip — and the region or component before and after the
+  /// edits — lies inside.
+  [[nodiscard]] std::vector<rect> recheck_windows(const exec_plan& plan, layout_snapshot& snap,
+                                                  std::span<const rect> dirty) const;
 
   /// Task parallelism (paper Section I: "different design rules can be
   /// checked concurrently"): run the deck's plan groups and remaining rules
@@ -250,11 +268,10 @@ class drc_engine {
   }
 
  private:
-  /// The one rule dispatch: run one compiled plan against a snapshot. A pair
-  /// plan runs as a one-member group. Global plans (derived-area, coloring)
-  /// flatten the layout themselves and ignore the snapshot and the window.
-  check_report run_compiled(const db::library& lib, const exec_plan& plan, stream_pool& streams,
-                            layout_snapshot& snap, const std::optional<rect>& window);
+  /// The single-rule dispatch: run one compiled plan against a snapshot. A
+  /// pair plan runs as a one-member group.
+  check_report run_compiled(const exec_plan& plan, stream_pool& streams, layout_snapshot& snap,
+                            const std::optional<rect>& window);
 
   struct impl;
   engine_config cfg_;

@@ -99,6 +99,12 @@ poly_set polys_of(const db::library& lib, view_cache& views, const inst& in, db:
   return ps;
 }
 
+rect clip_extent(const partition::clip& c, std::span<const rect> mbrs) {
+  rect r;
+  for (const std::uint32_t m : c.members) r = r.join(mbrs[m]);
+  return r;
+}
+
 check_report group_report::merged() && {
   check_report total = std::move(shared);
   for (check_report& r : per_rule) total.merge_from(std::move(r));
@@ -361,9 +367,11 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
 
   std::vector<const exec_plan*> mp(nplans);
   for (std::size_t k = 0; k < nplans; ++k) mp[k] = &plans[g.members[k]];
-  // Group invariants (group_pair_plans keys on (layer1, layer2, two_layer)):
-  // single-layer groups hold spacing plans (intra part, no containment),
-  // two-layer groups hold enclosure plans (containment, no intra part).
+  // Group invariants (group_pair_plans keys on (layer1, layer2, two_layer,
+  // whole_clip)): whole-clip groups hold derived-area or coloring plans;
+  // otherwise single-layer groups hold spacing plans (intra part, no
+  // containment) and two-layer groups enclosure plans (containment, no intra
+  // part).
   const bool track = mp.front()->track_containment;
   const bool has_intra = mp.front()->intra_object;
 
@@ -374,10 +382,17 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
   pair_memo<std::vector<std::uint8_t>> contain_memo;
   std::mutex contain_mu;
 
+  // Whole-clip groups collect every object and window only the clip
+  // evaluation: a derived region or conflict component whose violation edges
+  // touch the window need not have a shape near it (an L-shaped region
+  // wrapping a window corner), but it always lies in a clip whose extent
+  // overlaps the window.
+  const std::optional<rect> collect_window = g.whole_clip ? std::nullopt : window;
   for (const cell_id top : lib.top_cells()) {
-    const std::vector<inst> a_insts = collect_instances(snap, top, g.layer1, window, g.inflate);
+    const std::vector<inst> a_insts =
+        collect_instances(snap, top, g.layer1, collect_window, g.inflate);
     std::vector<inst> b_insts;
-    if (g.two_layer) b_insts = collect_instances(snap, top, g.layer2, window, g.inflate);
+    if (g.two_layer) b_insts = collect_instances(snap, top, g.layer2, collect_window, g.inflate);
     shared.instances += a_insts.size() + b_insts.size();
     if (a_insts.empty()) continue;
     const std::size_t ni = a_insts.size();
@@ -408,7 +423,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       return std::span(contained).subspan(first[i], first[i + 1] - first[i]);
     };
 
-    if (cfg.run_mode == mode::parallel) {
+    if (cfg.run_mode == mode::parallel && !g.whole_clip) {
       // Row pipeline (Section V-C): up to pipeline_depth rows are in flight,
       // each on its own stream, while host threads pack the next rows ahead
       // of the driver. One upload per row; the multi-config kernel evaluates
@@ -680,10 +695,31 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       }
     };
 
+    // Whole-clip groups: every member plan's shape-set predicate over the
+    // clip's shapes in top coordinates — no candidate sweep, no device.
+    auto run_whole_clip = [&](const partition::clip& clip, std::span<check_report> pr) {
+      std::vector<polygon> a, b;
+      for (const std::uint32_t m : clip.members) {
+        const bool primary = m < ni;
+        poly_set ps = polys_of(lib, views, primary ? a_insts[m] : b_insts[m - ni],
+                               primary ? g.layer1 : g.layer2, transform{});
+        std::vector<polygon>& dst = primary ? a : b;
+        dst.insert(dst.end(), std::make_move_iterator(ps.polys.begin()),
+                   std::make_move_iterator(ps.polys.end()));
+      }
+      for (std::size_t k = 0; k < nplans; ++k) {
+        mp[k]->check_shapes(a, g.two_layer ? std::span<const polygon>(b) : a, pr[k]);
+      }
+    };
+
     auto process_clip = [&](const partition::clip& clip, check_report& sh,
                             std::span<check_report> pr) {
       trace::span cts("pipeline", "clip", "members",
                       static_cast<std::int64_t>(clip.members.size()));
+      if (g.whole_clip) {
+        run_whole_clip(clip, pr);
+        return;
+      }
       if (has_intra) {
         for (const std::uint32_t m : clip.members) run_intra_inst(a_insts[m], pr);
       }
@@ -706,9 +742,12 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
 
     std::vector<const partition::clip*> clips;
     for (const partition::row& row : part.rows) {
-      for (const partition::clip& clip : row.clips) clips.push_back(&clip);
+      for (const partition::clip& clip : row.clips) {
+        if (g.whole_clip && window && !window->overlaps(clip_extent(clip, mbrs))) continue;
+        clips.push_back(&clip);
+      }
     }
-    if (cfg.run_mode == mode::parallel) {
+    if (cfg.run_mode == mode::parallel && !g.whole_clip) {
       if (track) {
         // Containment runs on the host (polygon containment is not an
         // edge-pair-decomposable predicate), over the candidate pairs of the

@@ -1,11 +1,12 @@
 // The generic check pipeline driver (paper Sections IV-C/D/E, V-C).
 //
-// Every distance rule executes the same way: enumerate the placed instances
+// Every pair rule executes the same way: enumerate the placed instances
 // carrying the rule's layer(s), partition their MBRs into adaptive rows and
-// clips, enumerate candidate pairs inside each clip, and evaluate an edge
-// predicate per candidate. This module owns that machinery ONCE; the engine
-// compiles each rule into an exec_plan (plan.hpp) and its one dispatch,
-// drc_engine::run_compiled, hands the plan here.
+// clips, and evaluate each clip — distance rules enumerate candidate pairs
+// inside the clip and evaluate an edge predicate per candidate; derived-area
+// and coloring rules evaluate the clip's whole shape set once. This module
+// owns that machinery ONCE; the engine compiles each rule into an exec_plan
+// (plan.hpp) and hands it here.
 //
 // The driver is written against plan *groups* rather than single plans:
 // run_pair_group() executes every member plan of one plan_group over a single
@@ -84,6 +85,11 @@ inline constexpr std::size_t split_poly_threshold = 8;
                                                               coord_t distance,
                                                               check_report& report);
 
+/// Join of a clip's member MBRs (`mbrs` as passed to partition_instances):
+/// covers every shape of the clip, hence every derived region and conflict
+/// component a whole-clip plan evaluates in it.
+[[nodiscard]] rect clip_extent(const partition::clip& c, std::span<const rect> mbrs);
+
 /// Sound candidate inflation: a violating pair's MBR gap is strictly below
 /// the rule distance, so inflating BOTH sides by ceil(d/2) already makes the
 /// MBRs overlap. Using d here would double the candidate halo and enumerate
@@ -152,7 +158,10 @@ struct group_report {
 /// by a single multi-config kernel (sweep::async_multi_check). In parallel
 /// mode rows are packed ahead on thread_pool::global() (up to
 /// `cfg.pipeline_depth` rows in flight) while earlier rows run on device
-/// streams.
+/// streams. Whole-clip groups (derived-area, coloring) skip the sweep and the
+/// device: each clip's shapes go to every member's check_shapes once; with a
+/// window, they partition every object and evaluate the clips whose extent
+/// overlaps it.
 [[nodiscard]] group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
                                           layout_snapshot& snap,
                                           std::span<const exec_plan> plans, const plan_group& g,

@@ -1,8 +1,105 @@
 #include "engine/plan.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <tuple>
+
+#include "engine/engine.hpp"
+#include "geo/boolean.hpp"
+#include "sweep/sweepline.hpp"
 
 namespace odrc::engine {
+
+namespace {
+
+// Every connected region of op(A, B) must have at least the rule's area,
+// where op is AND (overlap_area) or AND-NOT (notcut_area).
+void measure_regions(const exec_plan& p, std::span<const polygon> a, std::span<const polygon> b,
+                     check_report& report) {
+  if (a.empty()) return;
+  auto t = report.phases.measure("boolean");
+  const rules::rule& r = p.rule;
+  const geo::bool_op op = r.kind == checks::rule_kind::overlap_area ? geo::bool_op::intersect
+                                                                    : geo::bool_op::subtract;
+  for (const geo::component& c : geo::connected_components(geo::boolean_rects(a, b, op))) {
+    if (c.area >= r.min_area) continue;
+    report.violations.push_back({r.kind, r.layer1, r.layer2,
+                                 edge{{c.mbr.x_min, c.mbr.y_min}, {c.mbr.x_max, c.mbr.y_min}},
+                                 edge{{c.mbr.x_min, c.mbr.y_max}, {c.mbr.x_max, c.mbr.y_max}},
+                                 c.area});
+  }
+}
+
+// Build the same-mask conflict graph (shapes closer than the rule distance)
+// and verify it is 2-colorable; every odd cycle produces one violation at the
+// conflict that closes it. Shapes are visited in a canonical order (MBR, then
+// vertices) — seeds and neighbours alike — so the reported pair depends on
+// the shape set only, not on how it was enumerated.
+void color_conflicts(const exec_plan& p, std::span<const polygon> shapes,
+                     check_report& report) {
+  const std::size_t n = shapes.size();
+  if (n == 0) return;
+  std::vector<rect> mbrs(n);
+  for (std::size_t i = 0; i < n; ++i) mbrs[i] = shapes[i].mbr();
+  std::vector<std::uint32_t> order(n);  // canonical rank -> input index
+  std::iota(order.begin(), order.end(), 0u);
+  const auto key = [](const rect& m) { return std::tie(m.x_min, m.y_min, m.x_max, m.y_max); };
+  std::sort(order.begin(), order.end(), [&](std::uint32_t u, std::uint32_t v) {
+    if (key(mbrs[u]) != key(mbrs[v])) return key(mbrs[u]) < key(mbrs[v]);
+    const auto pu = shapes[u].vertices(), pv = shapes[v].vertices();
+    return std::lexicographical_compare(pu.begin(), pu.end(), pv.begin(), pv.end());
+  });
+  std::vector<std::uint32_t> rank(n);
+  for (std::uint32_t k = 0; k < n; ++k) rank[order[k]] = k;
+
+  // Conflict graph over canonical ranks: shapes whose boundary distance is
+  // below the same-mask spacing must be assigned to different masks.
+  const coord_t same_mask_spacing = p.rule.distance;
+  std::vector<std::vector<std::uint32_t>> adj(n);
+  {
+    auto t = report.phases.measure("sweepline");
+    sweep::overlap_pairs_inflated(
+        mbrs, same_mask_spacing,
+        [&](std::uint32_t i, std::uint32_t j) {
+          ++report.check_stats.polygon_pairs_tested;
+          if (checks::polygons_within(shapes[i], shapes[j], same_mask_spacing)) {
+            adj[rank[i]].push_back(rank[j]);
+            adj[rank[j]].push_back(rank[i]);
+          }
+        },
+        &report.sweep_stats);
+  }
+
+  // Depth-first 2-coloring; a conflict between equal colors closes an odd
+  // cycle.
+  auto t = report.phases.measure("edge_check");
+  for (auto& nb : adj) std::sort(nb.begin(), nb.end());
+  std::vector<std::int8_t> color(n, -1);
+  std::vector<std::uint32_t> stack;
+  for (std::uint32_t seed = 0; seed < n; ++seed) {
+    if (color[seed] != -1) continue;
+    color[seed] = 0;
+    stack.assign(1, seed);
+    while (!stack.empty()) {
+      const std::uint32_t u = stack.back();
+      stack.pop_back();
+      for (const std::uint32_t v : adj[u]) {
+        if (color[v] == -1) {
+          color[v] = static_cast<std::int8_t>(1 - color[u]);
+          stack.push_back(v);
+        } else if (color[v] == color[u] && u < v) {
+          // Odd cycle: this conflict cannot be resolved with two masks.
+          const rect ma = mbrs[order[u]], mb = mbrs[order[v]];
+          report.violations.push_back({checks::rule_kind::coloring, p.layer1, p.layer1,
+                                       edge{{ma.x_min, ma.y_min}, {ma.x_max, ma.y_max}},
+                                       edge{{mb.x_min, mb.y_min}, {mb.x_max, mb.y_max}}, 0});
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
 
 sweep::device_check_config exec_plan::device_config(sweep::sweep_axis axis) const {
   sweep::device_check_config cfg;
@@ -34,6 +131,15 @@ void exec_plan::check_pair(const polygon& a, const rect& am, const polygon& b, c
       checks::check_enclosure(a, b, layer1, layer2, rule.distance, out, cs);
       break;
     default: break;  // other kinds have no pair predicate
+  }
+}
+
+void exec_plan::check_shapes(std::span<const polygon> a, std::span<const polygon> b,
+                             check_report& report) const {
+  if (rule.kind == checks::rule_kind::coloring) {
+    color_conflicts(*this, a, report);
+  } else {
+    measure_regions(*this, a, b, report);
   }
 }
 
@@ -71,8 +177,15 @@ exec_plan compile_plan(const rules::rule& r) {
       break;
     case checks::rule_kind::overlap_area:
     case checks::rule_kind::notcut_area:
+      // Inflate 0: the partition's extents are closed, so touching shapes
+      // still share a clip and every derived region lies in one clip.
+      p.cls = plan_class::pair;
+      p.whole_clip = true;
+      p.two_layer = r.layer1 != r.layer2;
+      break;
     case checks::rule_kind::coloring:
-      p.cls = plan_class::global;
+      p.cls = plan_class::pair;
+      p.whole_clip = true;
       p.inflate = r.distance;
       break;
   }
@@ -85,10 +198,11 @@ std::vector<plan_group> group_pair_plans(std::span<const exec_plan> plans) {
     const exec_plan& p = plans[i];
     if (p.cls != plan_class::pair) continue;
     auto it = std::find_if(groups.begin(), groups.end(), [&](const plan_group& g) {
-      return g.layer1 == p.layer1 && g.layer2 == p.layer2 && g.two_layer == p.two_layer;
+      return g.layer1 == p.layer1 && g.layer2 == p.layer2 && g.two_layer == p.two_layer &&
+             g.whole_clip == p.whole_clip;
     });
     if (it == groups.end()) {
-      groups.push_back({p.layer1, p.layer2, p.two_layer, p.inflate, {i}});
+      groups.push_back({p.layer1, p.layer2, p.two_layer, p.whole_clip, p.inflate, {i}});
     } else {
       it->inflate = std::max(it->inflate, p.inflate);
       it->members.push_back(i);

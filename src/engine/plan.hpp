@@ -11,13 +11,14 @@
 //   - the per-candidate-pair edge predicate (evaluated host-side through
 //     check_pair(), device-side through device_config());
 //   - whether the rule has an intra-object component (spacing notches) and
-//     whether it needs the containment post-pass (enclosure).
+//     whether it needs the containment post-pass (enclosure);
+//   - for derived-area and coloring rules, the predicate over a whole shape
+//     set (check_shapes) that the driver evaluates once per partition clip.
 //
 // Plans exist so the pipeline driver (pipeline.hpp) can be written once:
-// every distance rule is "enumerate objects, partition, sweep candidates,
-// evaluate predicates", and a deck of rules over the same layers can share
-// the enumerate/partition/sweep work by evaluating several plans' predicates
-// per candidate (group_pair_plans below — the deck-batching key).
+// every pair rule is "enumerate objects, partition, evaluate each clip", and
+// a deck of rules over the same layers can share the enumerate/partition
+// work (group_pair_plans below — the deck-batching key).
 #pragma once
 
 #include <cstdint>
@@ -33,11 +34,12 @@
 
 namespace odrc::engine {
 
+struct check_report;  // engine.hpp
+
 /// Which pipeline a compiled rule runs through.
 enum class plan_class : std::uint8_t {
-  intra,   ///< width / area / rectilinear / custom — per-master, memoized
-  pair,    ///< spacing / enclosure — partition + candidate sweep + edge pairs
-  global,  ///< derived-layer booleans, coloring — whole-layer algorithms
+  intra,  ///< width / area / rectilinear / custom — per-master, memoized
+  pair,   ///< spacing / enclosure / derived-area / coloring — partition clips
 };
 
 /// The polygons of one check object, pre-transformed into a common frame.
@@ -56,6 +58,12 @@ struct exec_plan {
   coord_t inflate = 0;             ///< interaction distance (partition + halo)
   bool intra_object = false;       ///< has an intra-object part (spacing notches)
   bool track_containment = false;  ///< needs the enclosure containment post-pass
+  /// Derived-area / coloring: evaluated once per clip over the clip's whole
+  /// shape set (check_shapes) instead of per candidate pair. The partition
+  /// keeps every interacting shape pair in one clip (touching shapes at
+  /// inflate 0, shapes closer than the same-mask spacing for coloring), so
+  /// each derived region and each conflict-graph component lies in one clip.
+  bool whole_clip = false;
   sweep::pair_check device_kind = sweep::pair_check::spacing;
 
   /// Device kernel configuration for this plan's edge predicate.
@@ -72,21 +80,32 @@ struct exec_plan {
   /// Containment is plan-independent and tracked by the pipeline driver.
   void check_pair(const polygon& a, const rect& am, const polygon& b, const rect& bm,
                   std::vector<checks::violation>& out, checks::check_stats& cs) const;
+
+  /// Whole-shape-set predicate of a whole_clip plan, every shape in one
+  /// frame: derived-area rules measure each connected region of op(a, b);
+  /// coloring rules 2-color the conflict graph of `a` (`b` unused). The
+  /// result depends on the shape sets only, not on their order. Appends to
+  /// report.violations and records the "boolean" (derived-area) or
+  /// "sweepline" + "edge_check" (coloring) phase.
+  void check_shapes(std::span<const polygon> a, std::span<const polygon> b,
+                    check_report& report) const;
 };
 
 /// Compile one rule. Every rule kind compiles; `cls` tells the caller which
 /// driver to hand the plan to.
 [[nodiscard]] exec_plan compile_plan(const rules::rule& r);
 
-/// A batch of pair plans sharing the same check-object space: identical
-/// (layer1, layer2, two_layer). The pipeline enumerates instances, computes
-/// the row partition, and (in parallel mode) packs row edges ONCE per group
-/// with the group-maximal interaction distance, then evaluates every member
-/// plan's predicate per candidate — one upload, N rules.
+/// A batch of pair plans sharing the same check-object space and evaluator:
+/// identical (layer1, layer2, two_layer, whole_clip). The pipeline enumerates
+/// instances, computes the row partition, and (in parallel mode) packs row
+/// edges ONCE per group with the group-maximal interaction distance, then
+/// evaluates every member plan's predicate per candidate — one upload, N
+/// rules. Whole-clip groups evaluate every member's check_shapes per clip.
 struct plan_group {
   db::layer_t layer1 = rules::any_layer;
   db::layer_t layer2 = rules::any_layer;
   bool two_layer = false;
+  bool whole_clip = false;
   coord_t inflate = 0;                ///< max over member plans (sound for all)
   std::vector<std::size_t> members;   ///< indices into the compiled plan list
 };

@@ -29,11 +29,6 @@ std::vector<rect> merge_rects(std::vector<rect> rects) {
   return rects;
 }
 
-rect intersect(const rect& a, const rect& b) {
-  return {std::max(a.x_min, b.x_min), std::max(a.y_min, b.y_min),
-          std::min(a.x_max, b.x_max), std::min(a.y_max, b.y_max)};
-}
-
 // Sharded keep predicate: same edge-wise test check_region applies to its
 // window, here against the shard band.
 bool touches_band(const checks::violation& v, const rect& band) {
@@ -92,8 +87,8 @@ void session::run_full_locked() {
   // A sharded worker's "full" check is its band: check_region keeps exactly
   // the violations with an offending edge touching the band, so the union
   // over all workers' stores is the single-process store.
-  engine::deck_report dr = shard_ ? eng_.check_region(lib_, plans_, *snap_, shard_->band)
-                                  : eng_.check_deck(lib_, plans_, *snap_);
+  engine::deck_report dr = shard_ ? eng_.check_region(plans_, *snap_, shard_->band)
+                                  : eng_.check_deck(plans_, *snap_);
   for (std::size_t i = 0; i < plans_.size(); ++i) {
     db_.add(deck_[i].name, dr.per_rule[i].violations);
   }
@@ -119,11 +114,11 @@ std::optional<session::shard_info> session::shard() const {
 session::window_result session::check_window(const rect& w) {
   std::lock_guard lk(mu_);
   trace::span ts("serve", "check_window");
-  const rect eff = shard_ ? intersect(w, shard_->band) : w;
+  const rect eff = shard_ ? w.meet(shard_->band) : w;
   window_result out;
   if (eff.empty()) return out;
   report::violation_db db(lib_.name());
-  engine::deck_report dr = eng_.check_region(lib_, plans_, *snap_, eff);
+  engine::deck_report dr = eng_.check_region(plans_, *snap_, eff);
   for (std::size_t i = 0; i < plans_.size(); ++i) {
     db.add(deck_[i].name, dr.per_rule[i].violations);
   }
@@ -184,37 +179,22 @@ recheck_result session::recheck(const diff_callback& on_diff) {
     const std::vector<rect> merged = merge_rects(dirty_);
     out.windows = merged.size();
     for (std::size_t i = 0; i < plans_.size(); ++i) {
-      const engine::exec_plan& plan = plans_[i];
       const std::string& name = deck_[i].name;
-      const std::span<const engine::exec_plan> one(&plan, 1);
-      if (plan.cls == engine::plan_class::global) {
-        // Not locally incremental (see file comment): full rerun + replace
-        // (band-filtered via check_region when sharded).
-        out.purged += db_.erase_rule(name);
-        engine::deck_report dr = shard_
-                                     ? eng_.check_region(lib_, one, *snap_, shard_->band)
-                                     : eng_.check_deck(lib_, one, *snap_);
-        out.inserted += dr.per_rule[0].violations.size();
-        db_.add(name, dr.per_rule[0].violations);
-        continue;
+      const std::span<const engine::exec_plan> one(&plans_[i], 1);
+      // Every violation the edits could have changed lies inside the plan's
+      // recheck windows (see file comment). Sharded exactness: an affected
+      // BAND entry additionally has an edge touching the band, so windows
+      // disjoint from the band cannot change this worker's store and are
+      // skipped whole. Purge everything that could have changed BEFORE
+      // inserting: a violation touching two overlapping windows must not be
+      // re-purged after its re-insertion.
+      std::vector<rect> windows = merge_rects(eng_.recheck_windows(plans_[i], *snap_, merged));
+      if (shard_) {
+        std::erase_if(windows, [&](const rect& w) { return !w.overlaps(shard_->band); });
       }
-      // Sharded exactness: a changed violation has one edge in the dirty
-      // rect D and the other within plan.inflate of it, so both edges lie in
-      // W = D.inflated(inflate). An affected BAND entry additionally has an
-      // edge touching the band, so W ∩ band ≠ ∅ — windows disjoint from the
-      // band cannot change this worker's store and are skipped whole.
-      // Purge everything that could have changed BEFORE inserting: a
-      // violation touching two overlapping windows must not be re-purged
-      // after its re-insertion.
-      for (const rect& d : merged) {
-        const rect w = d.inflated(plan.inflate);
-        if (shard_ && !w.overlaps(shard_->band)) continue;
-        out.purged += db_.erase_touching(name, w);
-      }
-      for (const rect& d : merged) {
-        const rect w = d.inflated(plan.inflate);
-        if (shard_ && !w.overlaps(shard_->band)) continue;
-        engine::deck_report dr = eng_.check_region(lib_, one, *snap_, w);
+      for (const rect& w : windows) out.purged += db_.erase_touching(name, w);
+      for (const rect& w : windows) {
+        engine::deck_report dr = eng_.check_region(one, *snap_, w);
         for (const checks::violation& v : dr.per_rule[0].violations) {
           if (shard_ && !touches_band(v, shard_->band)) continue;
           if (db_.add_unique(name, v)) ++out.inserted;

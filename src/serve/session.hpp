@@ -5,24 +5,32 @@
 // `layout_snapshot` kept consistent across edits via the invalidation hooks,
 // and the `violation_db` of the last completed check. `recheck()` is the
 // incremental scheduler: it merges the dirty rects accumulated by apply(),
-// expands each by the rule's halo (exec_plan::inflate), purges the stored
-// violations touching each window (edge-wise — the exact complement of
-// check_region's keep predicate) and re-inserts check_region's results with
-// key dedup. Rules compiled to plan_class::global (derived-area booleans,
-// coloring) are not locally incremental — their connected components and odd
-// cycles can change arbitrarily far from an edit — so they rerun in full and
-// replace all their entries. Edits that change the top-cell set (a removed
-// last reference promotes a cell to top) force a full recheck: a whole check
-// context appears or vanishes.
+// maps them to each plan's recheck windows (drc_engine::recheck_windows),
+// purges the stored violations touching each window (edge-wise — the exact
+// complement of check_region's keep predicate) and re-inserts
+// check_region's results with key dedup. Every plan class takes this one
+// path. Edits that change the top-cell set (a removed last reference
+// promotes a cell to top) force a full recheck: a whole check context
+// appears or vanishes.
 //
 // Why purge+insert is exact (matches a fresh full check): a violation's key
-// set changes only where geometry changed. Every changed violation carries at
-// least one edge inside the dirty rect D (old ∪ new MBR of the edited
-// geometry mapped through all placements): a pair violation involves the
-// edited polygon itself; an enclosure "uncovered inner" violation's inner lies
-// inside the removed outer's MBR ⊆ D. Purging "edge touches W" and inserting
-// check_region(W)'s "edge touches W" results therefore rewrites exactly the
-// entries that could have changed and no others.
+// set changes only where geometry changed. Let D be a dirty rect (old ∪ new
+// MBR of the edited geometry mapped through all placements) and W a window
+// of it. It suffices that every violation that changed — before or after
+// the edits — has an edge touching W, and that check_region(W) reports
+// every current violation with an edge touching W. The second is
+// check_region's contract. For the first:
+//   - pair and intra violations: one edge lies in D (a pair violation
+//     involves the edited polygon itself; an enclosure "uncovered inner"
+//     violation's inner lies inside the removed outer's MBR ⊆ D) and the
+//     other within the rule distance of it, so W = D inflated by the plan's
+//     interaction distance covers both;
+//   - derived regions and conflict components: a changed one has a shape in
+//     D or, before the edits, was joined through an edited shape to parts
+//     that now lie within the interaction distance of D. Every such part is
+//     now in a partition clip overlapping D inflated by that distance, and
+//     W grows to the extent of each of those clips, so the whole region or
+//     component lies inside W — its violation edges included.
 #pragma once
 
 #include <functional>

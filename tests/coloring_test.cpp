@@ -2,8 +2,12 @@
 // 2-colorability (odd-cycle) detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "checks/poly_checks.hpp"
 #include "engine/engine.hpp"
+#include "report/violation_db.hpp"
 #include "workload/workload.hpp"
 
 namespace odrc::engine {
@@ -38,6 +42,31 @@ TEST(Coloring, OddCycleFlagged) {
   const auto r = e.run_coloring(odd_cycle_lib(), 7, 30);
   ASSERT_EQ(r.violations.size(), 1u);
   EXPECT_EQ(r.violations[0].kind, checks::rule_kind::coloring);
+}
+
+// The pair reported for an odd cycle depends on the shape set only: every
+// insertion order of the three bars yields the same violation key, so a
+// delete/re-add edit with no geometric change cannot change the store.
+TEST(Coloring, KeysIndependentOfInsertionOrder) {
+  const std::array<rect, 3> bars{rect{0, 0, 18, 100}, rect{40, 0, 58, 100},
+                                 rect{20, 110, 38, 210}};
+  std::array<std::size_t, 3> order{0, 1, 2};
+  std::vector<std::string> first;
+  int orders = 0;
+  do {
+    db::library lib;
+    const db::cell_id top = lib.add_cell("top");
+    for (const std::size_t i : order) lib.at(top).add_rect(7, bars[i]);
+    drc_engine e;
+    report::violation_db db;
+    db.add("MP", e.run_coloring(lib, 7, 30).violations);
+    const std::vector<std::string> keys = db.keys();
+    ASSERT_EQ(keys.size(), 1u);
+    if (first.empty()) first = keys;
+    EXPECT_EQ(keys, first) << "order " << order[0] << order[1] << order[2];
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 6);
 }
 
 TEST(Coloring, ChainIsTwoColorable) {

@@ -19,10 +19,11 @@ std::vector<checks::violation> norm(std::vector<checks::violation> v) {
   return v;
 }
 
-// A deck built to batch: 11 rules over 4 layers, of which 7 are pair rules
-// sharing 3 groups — M1 spacing ×3 (one with a PRL tier), M2 spacing ×2,
-// V1-in-M1 enclosure ×2 — plus two intra rules and two global rules
-// (derived-area, coloring) that run solo: every plan_class is present.
+// A deck built to batch: 11 rules over 4 layers, of which 7 are edge-pair
+// rules sharing 3 groups — M1 spacing ×3 (one with a PRL tier), M2 spacing
+// ×2, V1-in-M1 enclosure ×2 — plus two intra rules and two whole-clip pair
+// rules (derived-area, coloring) in groups of their own: every plan_class and
+// every pair-group kind is present.
 std::vector<rules::rule> batched_deck() {
   return {
       rules::layer(layers::M1).spacing().greater_than(tech::wire_space),
@@ -53,8 +54,10 @@ TEST(DeckBatching, GroupingKeyIsLayerSet) {
   for (const rules::rule& r : batched_deck()) plans.push_back(compile_plan(r));
   const std::vector<plan_group> groups = group_pair_plans(plans);
 
-  ASSERT_EQ(groups.size(), 3u);
-  // Deck order preserved: M1 spacing, M2 spacing, (V1, M1) enclosure.
+  ASSERT_EQ(groups.size(), 5u);
+  // Deck order preserved: M1 spacing, M2 spacing, (V1, M1) enclosure, then
+  // the whole-clip groups, which never share a group with edge-pair plans
+  // on the same layers.
   EXPECT_EQ(groups[0].layer1, layers::M1);
   EXPECT_FALSE(groups[0].two_layer);
   EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 1, 2}));
@@ -70,6 +73,22 @@ TEST(DeckBatching, GroupingKeyIsLayerSet) {
   EXPECT_TRUE(groups[2].two_layer);
   EXPECT_EQ(groups[2].members, (std::vector<std::size_t>{5, 6}));
   EXPECT_EQ(groups[2].inflate, tech::via_enclosure);
+  EXPECT_FALSE(groups[2].whole_clip);
+
+  // Derived-area: inflate 0, both operand layers.
+  EXPECT_TRUE(groups[3].whole_clip);
+  EXPECT_EQ(groups[3].layer1, layers::V1);
+  EXPECT_EQ(groups[3].layer2, layers::M1);
+  EXPECT_TRUE(groups[3].two_layer);
+  EXPECT_EQ(groups[3].members, (std::vector<std::size_t>{9}));
+  EXPECT_EQ(groups[3].inflate, 0);
+
+  // Coloring: inflate is the same-mask spacing.
+  EXPECT_TRUE(groups[4].whole_clip);
+  EXPECT_EQ(groups[4].layer1, layers::M2);
+  EXPECT_FALSE(groups[4].two_layer);
+  EXPECT_EQ(groups[4].members, (std::vector<std::size_t>{10}));
+  EXPECT_EQ(groups[4].inflate, 60);
 }
 
 // check(lib) == check_deck(lib).total == check_concurrent(lib) == the union
@@ -125,8 +144,8 @@ TEST(DeckBatching, AmortizationStatsRecorded) {
   drc_engine batched;
   batched.add_rules(deck);
   const deck_stats on = batched.check_deck(lib).total.deck;
-  EXPECT_EQ(on.groups, 3u);
-  EXPECT_EQ(on.batched_rules, 7u);  // the intra and global rules run solo
+  EXPECT_EQ(on.groups, 5u);
+  EXPECT_EQ(on.batched_rules, 7u);  // intra rules and one-member groups batch nothing
   EXPECT_GT(on.shared_seconds, 0.0);
   EXPECT_GE(on.saved_seconds, 0.0);
 }

@@ -58,20 +58,6 @@ TEST(Flatten, OriginTracksDefinition) {
   for (const auto& fp : flat) EXPECT_EQ(fp.origin.cell, f.leaf);
 }
 
-TEST(FlatInstanceList, OnlyCellsWithDirectPolygons) {
-  fixture f;
-  const auto insts = flat_instance_list(f.lib, f.top);
-  // top has no direct polygons; leaf appears twice, mid once.
-  ASSERT_EQ(insts.size(), 3u);
-  int leafs = 0, mids = 0;
-  for (const auto& pc : insts) {
-    if (pc.master == f.leaf) ++leafs;
-    if (pc.master == f.mid) ++mids;
-  }
-  EXPECT_EQ(leafs, 2);
-  EXPECT_EQ(mids, 1);
-}
-
 TEST(FlatInstanceList, LayerFilteredUsesIndex) {
   fixture f;
   const mbr_index idx(f.lib);

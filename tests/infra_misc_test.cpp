@@ -1,5 +1,5 @@
-// Tests for the remaining infrastructure pieces: small_vector, morton codes,
-// thread pool, timer/profiler, logger, execution traits.
+// Tests for the remaining infrastructure pieces: morton codes, thread pool,
+// timer/profiler, logger, execution traits.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,59 +9,11 @@
 #include "infra/execution.hpp"
 #include "infra/logger.hpp"
 #include "infra/morton.hpp"
-#include "infra/small_vector.hpp"
 #include "infra/thread_pool.hpp"
 #include "infra/timer.hpp"
 
 namespace odrc {
 namespace {
-
-// ---------------------------------------------------------------------------
-// small_vector
-// ---------------------------------------------------------------------------
-
-TEST(SmallVector, StaysInlineUpToCapacity) {
-  small_vector<int, 4> v;
-  EXPECT_TRUE(v.empty());
-  for (int i = 0; i < 4; ++i) v.push_back(i);
-  EXPECT_TRUE(v.is_inline());
-  EXPECT_EQ(v.size(), 4u);
-  v.push_back(4);
-  EXPECT_FALSE(v.is_inline());
-  EXPECT_EQ(v.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-}
-
-TEST(SmallVector, CopyAndMove) {
-  small_vector<int, 2> v;
-  for (int i = 0; i < 10; ++i) v.push_back(i);
-  small_vector<int, 2> copy = v;
-  EXPECT_EQ(copy.size(), 10u);
-  EXPECT_EQ(copy[9], 9);
-  small_vector<int, 2> moved = std::move(v);
-  EXPECT_EQ(moved.size(), 10u);
-  EXPECT_EQ(v.size(), 0u);  // NOLINT(bugprone-use-after-move) - documented state
-  copy = moved;
-  EXPECT_EQ(copy[5], 5);
-}
-
-TEST(SmallVector, PopAndClear) {
-  small_vector<int, 4> v;
-  v.push_back(1);
-  v.push_back(2);
-  EXPECT_EQ(v.back(), 2);
-  v.pop_back();
-  EXPECT_EQ(v.back(), 1);
-  v.clear();
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(SmallVector, ReserveGrows) {
-  small_vector<int, 2> v;
-  v.reserve(100);
-  EXPECT_GE(v.capacity(), 100u);
-  EXPECT_TRUE(v.empty());
-}
 
 // ---------------------------------------------------------------------------
 // Morton codes

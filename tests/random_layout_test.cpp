@@ -6,7 +6,10 @@
 // pair for enclosure containment) with the shared predicates — no sweepline,
 // no partition, no memoization, no MBR filters. Any transform, partitioning,
 // memo-reuse, candidate-enumeration or containment bug shows up as a set
-// difference.
+// difference. Derived-area and coloring rules are checked against their
+// shape-set predicate (exec_plan::check_shapes) run once over each whole
+// flattened layer, so a derived region or conflict component split across
+// partition clips or cut by a window shows up the same way.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,6 +18,7 @@
 #include "checks/poly_checks.hpp"
 #include "db/flatten.hpp"
 #include "engine/engine.hpp"
+#include "engine/plan.hpp"
 
 namespace odrc {
 namespace {
@@ -166,6 +170,27 @@ std::vector<violation> oracle_enclosure(const db::library& lib, db::layer_t inne
   return out;
 }
 
+// Whole-layer run of a derived-area or coloring rule: the rule's shape-set
+// predicate over each top cell's flattened operand layers.
+std::vector<violation> oracle_shapes(const db::library& lib, const rules::rule& r) {
+  const engine::exec_plan plan = engine::compile_plan(r);
+  engine::check_report report;
+  for (const db::cell_id top : lib.top_cells()) {
+    std::vector<polygon> a, b;
+    for (const auto& fp : db::flatten_layer(lib, top, r.layer1)) a.push_back(fp.poly);
+    for (const auto& fp : db::flatten_layer(lib, top, r.layer2)) b.push_back(fp.poly);
+    plan.check_shapes(a, b, report);
+  }
+  return report.violations;
+}
+
+std::vector<violation> in_window(std::vector<violation> vs, const rect& w) {
+  std::erase_if(vs, [&](const violation& v) {
+    return !w.overlaps(v.e1.mbr()) && !w.overlaps(v.e2.mbr());
+  });
+  return vs;
+}
+
 class RandomLayout : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomLayout, EngineMatchesOracle) {
@@ -196,6 +221,52 @@ TEST_P(RandomLayout, EngineMatchesOracle) {
           << "par enclosure d=" << d << " iter=" << iter;
       EXPECT_EQ(norm(host_par.run_enclosure(lib, 2, 1, d).violations), want_e)
           << "host_parallel enclosure d=" << d << " iter=" << iter;
+    }
+  }
+}
+
+// Derived-area (overlap, not-cut) and coloring rules run per partition clip;
+// every mode, and every window, must match the whole-layer oracle.
+TEST_P(RandomLayout, DerivedAndColoringMatchWholeLayerOracle) {
+  std::mt19937 rng(static_cast<std::uint32_t>(GetParam()) * 2246822519u + 7);
+  std::uniform_int_distribution<coord_t> corner(-200, 4600), extent(50, 1500);
+  for (int iter = 0; iter < 6; ++iter) {
+    const db::library lib = random_library(rng);
+    drc_engine seq({.run_mode = engine::mode::sequential});
+    drc_engine par({.run_mode = engine::mode::parallel});
+    drc_engine host_par({.run_mode = engine::mode::sequential, .host_parallel = true});
+
+    const std::vector<rules::rule> deck = {
+        rules::layer(2).overlap_with(1).area_at_least(64),
+        rules::layer(1).not_cut_by(2).area_at_least(900),
+        rules::layer(1).two_colorable(25),
+        rules::layer(1).two_colorable(90),
+        rules::layer(2).two_colorable(150),
+    };
+    for (std::size_t ri = 0; ri < deck.size(); ++ri) {
+      const rules::rule& r = deck[ri];
+      const auto want = norm(oracle_shapes(lib, r));
+      EXPECT_EQ(norm(seq.check(lib, r).violations), want) << "seq rule " << ri << " iter=" << iter;
+      EXPECT_EQ(norm(par.check(lib, r).violations), want) << "par rule " << ri << " iter=" << iter;
+      EXPECT_EQ(norm(host_par.check(lib, r).violations), want)
+          << "host_parallel rule " << ri << " iter=" << iter;
+      // Random windows, and small windows at a random point of a violation's
+      // bounding box — often off the region's shapes yet on its edges.
+      for (int k = 0; k < 6; ++k) {
+        rect w;
+        if (k % 2 == 0 || want.empty()) {
+          const coord_t x = corner(rng), y = corner(rng);
+          w = {x, y, static_cast<coord_t>(x + extent(rng)), static_cast<coord_t>(y + extent(rng))};
+        } else {
+          const violation& v = want[rng() % want.size()];
+          const rect m = v.e1.mbr().join(v.e2.mbr());
+          const coord_t x = static_cast<coord_t>(m.x_min + rng() % (m.width() + 1));
+          const coord_t y = static_cast<coord_t>(m.y_min + rng() % (m.height() + 1));
+          w = rect{x, y, x, y}.inflated(static_cast<coord_t>(rng() % 20));
+        }
+        EXPECT_EQ(norm(seq.check_region(lib, r, w).violations), norm(in_window(want, w)))
+            << "window rule " << ri << " iter=" << iter;
+      }
     }
   }
 }

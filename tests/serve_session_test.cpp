@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <sstream>
@@ -13,6 +14,7 @@
 
 #include "db/layout.hpp"
 #include "engine/rule.hpp"
+#include "engine/shard.hpp"
 #include "serve/edits.hpp"
 
 namespace odrc::serve {
@@ -230,6 +232,141 @@ TEST(ServeIncremental, RandomizedEquivalence) {
   }
   // The point of the test is the incremental path; require it actually ran.
   EXPECT_GE(incremental_rounds, 5u);
+}
+
+// Derived-area and coloring rules recheck through the same windowed path as
+// pair rules: their recheck windows close over whole partition clips.
+std::vector<rules::rule> derived_deck() {
+  return {
+      rules::layer(V1).overlap_with(M1).area_at_least(400).named("V1.M1.OV"),
+      rules::layer(M1).not_cut_by(V1).area_at_least(25000).named("M1.NC"),
+      rules::layer(M2).two_colorable(40).named("M2.MP"),
+      rules::layer(M1).spacing().greater_than(25).named("M1.S"),
+  };
+}
+
+// Keys of a fresh deck check of make_lib() with `scripts` applied, on a new
+// engine and snapshot.
+std::vector<std::string> fresh_keys(const std::vector<std::string>& scripts,
+                                    const std::vector<rules::rule>& deck) {
+  db::library lib = make_lib();
+  {
+    engine::layout_snapshot snap(lib);
+    for (const std::string& sc : scripts) (void)apply_edits(lib, snap, ops(sc));
+  }
+  engine::drc_engine e;
+  e.add_rules(deck);
+  const engine::deck_report dr = e.check_deck(lib);
+  report::violation_db db;
+  for (std::size_t i = 0; i < deck.size(); ++i) db.add(deck[i].name, dr.per_rule[i].violations);
+  return db.keys();
+}
+
+TEST(ServeRecheck, DerivedAndColoringMatchFreshCheck) {
+  const std::vector<rules::rule> deck = derived_deck();
+  const std::vector<rect> bands = engine::plan_shards(make_lib(), 2);
+  ASSERT_EQ(bands.size(), 2u);
+  const int seam = bands[0].y_max;
+
+  session inc(make_lib(), deck);
+  session shard0(make_lib(), deck), shard1(make_lib(), deck);
+  shard0.set_shard({bands[0], 0, 2});
+  shard1.set_shard({bands[1], 1, 2});
+  for (session* s : {&inc, &shard0, &shard1}) s->check_full();
+
+  // Scripted edits first, then seeded random wire / instance / master edits.
+  std::vector<std::string> scripts;
+  auto rect_line = [](const char* cell, db::layer_t layer, int x1, int y1, int x2, int y2) {
+    std::ostringstream os;
+    os << "add_poly " << cell << ' ' << layer << ' ' << x1 << ' ' << y1 << ' ' << x2 << ' '
+       << y2 << '\n';
+    return os.str();
+  };
+  const int ly = seam + 200;
+  // An L-shaped not-cut region (23100 < 25000) as two touching M1 bars...
+  scripts.push_back(rect_line("top", M1, 10000, ly, 10400, ly + 30) +
+                    rect_line("top", M1, 10370, ly + 30, 10400, ly + 400));
+  // ...then a speck in its notch reaching the L's top bounding-box edge:
+  // the window touches the L's violation edge but none of its shapes.
+  scripts.push_back(rect_line("top", M1, 10200, ly + 380, 10210, ly + 400));
+  scripts.push_back("remove_poly top 19 6\n");
+  // A tab on the L's vertical bar, far from the L's bounding-box edges,
+  // lifts its area to 26100: the stored L entry must go.
+  scripts.push_back(rect_line("top", M1, 10400, ly + 200, 10450, ly + 260));
+  // A not-cut region and an M2 odd cycle straddling the band seam.
+  scripts.push_back(rect_line("top", M1, 12000, seam - 100, 12030, seam + 100) +
+                    rect_line("top", M2, 12500, seam - 60, 12518, seam - 10) +
+                    rect_line("top", M2, 12540, seam - 60, 12558, seam - 10) +
+                    rect_line("top", M2, 12520, seam + 5, 12538, seam + 55));
+  // A V1 via moved half off its M1 finger in the arrayed master.
+  scripts.push_back("move_poly unit 21 0 -30 0\n");
+  // Instance edit: a unit placement onto the seam structures.
+  scripts.push_back("move_inst top 0 11950 " + std::to_string(seam - 40) + "\n");
+
+  std::mt19937 rng(0xC0105);
+  std::map<std::pair<std::string, int>, int> npolys{
+      {{"unit", M1}, 2}, {{"unit", V1}, 1}, {{"top", M1}, 8}, {{"top", M2}, 4},
+      {{"top", V1}, 1},
+  };
+  const std::vector<std::pair<std::string, int>> slots = {
+      {"unit", M1}, {"unit", V1}, {"top", M1}, {"top", M2}, {"top", V1}};
+  for (int round = 0; round < 16; ++round) {
+    std::ostringstream script;
+    for (int k = 0; k < 2; ++k) {
+      const auto& [cell, layer] = slots[rng() % slots.size()];
+      const int x = 9800 + static_cast<int>(rng() % 900);
+      const int y = seam - 300 + static_cast<int>(rng() % 1000);
+      switch (rng() % 4) {
+        case 0: {
+          const int w = 10 + static_cast<int>(rng() % 200);
+          const int h = 10 + static_cast<int>(rng() % 200);
+          script << "add_poly " << cell << ' ' << layer << ' ' << x << ' ' << y << ' ' << (x + w)
+                 << ' ' << (y + h) << '\n';
+          ++npolys[{cell, layer}];
+          break;
+        }
+        case 1: {
+          const int n = npolys[{cell, layer}];
+          if (n == 0) break;
+          script << "move_poly " << cell << ' ' << layer << ' ' << (rng() % n) << ' '
+                 << static_cast<int>(rng() % 80) - 40 << ' ' << static_cast<int>(rng() % 80) - 40
+                 << '\n';
+          break;
+        }
+        case 2: {
+          auto& n = npolys[{cell, layer}];
+          if (n <= 1) break;
+          script << "remove_poly " << cell << ' ' << layer << ' ' << (rng() % n) << '\n';
+          --n;
+          break;
+        }
+        case 3:
+          script << "move_inst top " << (rng() % 2) << ' ' << static_cast<int>(rng() % 60) - 30
+                 << ' ' << static_cast<int>(rng() % 60) - 30 << '\n';
+          break;
+      }
+    }
+    if (!ops(script.str()).empty()) scripts.push_back(script.str());
+  }
+
+  std::vector<std::string> applied;
+  std::size_t incremental = 0;
+  for (const std::string& sc : scripts) {
+    applied.push_back(sc);
+    const std::vector<std::string> want = fresh_keys(applied, deck);
+    for (session* s : {&inc, &shard0, &shard1}) {
+      s->apply(ops(sc));
+      if (!s->recheck().full) ++incremental;
+    }
+    ASSERT_EQ(inc.keys(), want) << "after script:\n" << sc;
+    std::vector<std::string> both = shard0.keys();
+    const std::vector<std::string> k1 = shard1.keys();
+    both.insert(both.end(), k1.begin(), k1.end());
+    std::sort(both.begin(), both.end());
+    both.erase(std::unique(both.begin(), both.end()), both.end());
+    ASSERT_EQ(both, want) << "bands, after script:\n" << sc;
+  }
+  EXPECT_EQ(incremental, 3 * scripts.size());
 }
 
 TEST(ServeIncremental, DiffAccountsForEveryKeyChange) {

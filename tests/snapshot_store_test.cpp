@@ -95,13 +95,13 @@ TEST(SnapshotStore, RoundTripCheckEquivalence) {
     drc_engine fresh_eng(cfg);
     fresh_eng.add_rules(deck);
     layout_snapshot fresh_snap(lib);
-    const deck_report fresh = fresh_eng.check_deck(lib, plans, fresh_snap);
+    const deck_report fresh = fresh_eng.check_deck(plans, fresh_snap);
 
     drc_engine frozen_eng(cfg);
     frozen_eng.add_rules(deck);
     layout_snapshot frozen_snap(lib2, fs);
     ASSERT_TRUE(frozen_snap.frozen_backed());
-    const deck_report mapped = frozen_eng.check_deck(lib2, plans, frozen_snap);
+    const deck_report mapped = frozen_eng.check_deck(plans, frozen_snap);
 
     ASSERT_EQ(mapped.per_rule.size(), deck.size());
     bool any = false;
@@ -249,7 +249,7 @@ TEST(SnapshotCow, InvalidateMasksFrozenEntries) {
   std::vector<exec_plan> plans{compile_plan(deck[0])};
   drc_engine eng;
   eng.add_rules(deck);
-  (void)eng.check_deck(lib2, plans, snap);
+  (void)eng.check_deck(plans, snap);
   EXPECT_EQ(snap.overlay_entries(), 0u);
 
   const db::cell_id top = lib2.top_cells().front();
@@ -261,8 +261,8 @@ TEST(SnapshotCow, InvalidateMasksFrozenEntries) {
   layout_snapshot fresh(lib2);
   drc_engine eng2;
   eng2.add_rules(deck);
-  EXPECT_EQ(norm(eng.check_deck(lib2, plans, snap).per_rule[0].violations),
-            norm(eng2.check_deck(lib2, plans, fresh).per_rule[0].violations));
+  EXPECT_EQ(norm(eng.check_deck(plans, snap).per_rule[0].violations),
+            norm(eng2.check_deck(plans, fresh).per_rule[0].violations));
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(SnapshotEquivalence, WindowedRegionCheckMatches) {
     cfg.run_mode = m;
     drc_engine e(cfg);
     layout_snapshot snap(lib);
-    const deck_report dr = e.check_region(lib, plans, snap, window);
+    const deck_report dr = e.check_region(plans, snap, window);
     ASSERT_EQ(dr.per_rule.size(), probes.size());
     for (std::size_t i = 0; i < probes.size(); ++i) {
       EXPECT_EQ(norm(dr.per_rule[i].violations),

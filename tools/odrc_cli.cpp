@@ -72,7 +72,7 @@ int usage() {
                "             [--worker=EP ...] [--tcp] [--workers=N] [--mode=seq|par]\n"
                "             [--snapshot=PATH] (spawns N workers unless --worker given)\n"
                "  odrc client --socket=PATH|EP [--session=N]\n"
-               "             <ping|check|edit <script|->|recheck|diff|stats|open <gds> <deck>|\n"
+               "             <ping|check [keys]|edit <script|->|recheck|diff|stats|open <gds> <deck>|\n"
                "              check_region <x1> <y1> <x2> <y2>|query <x1> <y1> <x2> <y2> [keys]|\n"
                "              subscribe [<x1> <y1> <x2> <y2>] [--count=N] [--timeout=MS]|\n"
                "              unsubscribe <sub_id>|reload <file.snap>|close|shutdown>\n"
@@ -186,7 +186,7 @@ int cmd_check(int argc, char** argv) {
     plans.reserve(deck.size());
     for (const rules::rule& r : deck) plans.push_back(engine::compile_plan(r));
     engine::layout_snapshot snap(lib);
-    dr = eng.check_region(lib, plans, snap, *window);
+    dr = eng.check_region(plans, snap, *window);
   } else {
     dr = eng.check_deck(lib);
   }
@@ -644,6 +644,7 @@ int cmd_client(int argc, char** argv) {
     type = serve::msg_type::ping;
   } else if (verb == "check") {
     type = serve::msg_type::check;
+    if (pos.size() >= 2 && pos[1] == "keys") payload = "keys";
   } else if (verb == "recheck") {
     type = serve::msg_type::recheck;
   } else if (verb == "diff") {
