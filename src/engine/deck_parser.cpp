@@ -9,6 +9,14 @@ namespace odrc::rules {
 
 namespace {
 
+coord_t checked_distance(coord_t d, const std::string& what, std::size_t line) {
+  if (d < 0) throw deck_error("negative value for " + what, line);
+  if (d > max_deck_distance) {
+    throw deck_error(what + " exceeds " + std::to_string(max_deck_distance), line);
+  }
+  return d;
+}
+
 // key=value token map of one rule line; tracks which keys were consumed so
 // unknown keys can be reported.
 class kv_args {
@@ -40,6 +48,18 @@ class kv_args {
       throw deck_error("invalid integer '" + v + "' for key '" + key + "'", line_);
     }
     return out;
+  }
+
+  // A non-negative distance no larger than max_deck_distance.
+  [[nodiscard]] coord_t take_distance(const std::string& key) {
+    return checked_distance(take_int<coord_t>(key), "key '" + key + "'", line_);
+  }
+
+  // A non-negative area.
+  [[nodiscard]] area_t take_area(const std::string& key) {
+    const area_t a = take_int<area_t>(key);
+    if (a < 0) throw deck_error("negative value for key '" + key + "'", line_);
+    return a;
   }
 
   template <typename T>
@@ -76,6 +96,8 @@ void parse_prl(const std::string& spec, rule& r, std::size_t line) {
     if (rc1.ec != std::errc{} || rc2.ec != std::errc{}) {
       throw deck_error("invalid prl tier '" + tier + "'", line);
     }
+    if (proj < 0) throw deck_error("negative projection in prl tier '" + tier + "'", line);
+    checked_distance(dist, "prl tier '" + tier + "' distance", line);
     if (r.spacing.count >= r.spacing.tiers.size()) {
       throw deck_error("too many prl tiers (max " + std::to_string(r.spacing.tiers.size() - 1) +
                            " beyond the base)",
@@ -92,29 +114,29 @@ rule parse_rule(const std::string& name, const std::string& kind, kv_args& args)
   r.name = name;
   if (kind == "width") {
     r = layer(args.take_int<db::layer_t>("layer")).width()
-            .greater_than(args.take_int<coord_t>("min"));
+            .greater_than(args.take_distance("min"));
   } else if (kind == "spacing") {
     r = layer(args.take_int<db::layer_t>("layer")).spacing()
-            .greater_than(args.take_int<coord_t>("min"));
+            .greater_than(args.take_distance("min"));
     if (args.has("prl")) parse_prl(args.take_str("prl"), r, line);
   } else if (kind == "enclosure") {
     r = layer(args.take_int<db::layer_t>("inner"))
             .enclosed_by(args.take_int<db::layer_t>("outer"))
-            .greater_than(args.take_int<coord_t>("min"));
+            .greater_than(args.take_distance("min"));
   } else if (kind == "area") {
     r = layer(args.take_int<db::layer_t>("layer")).area()
-            .greater_than(args.take_int<area_t>("min"));
+            .greater_than(args.take_area("min"));
   } else if (kind == "rectilinear") {
     const db::layer_t l = args.take_int_or<db::layer_t>("layer", any_layer);
     r = (l == any_layer ? polygons() : layer(l).polygons()).is_rectilinear();
   } else if (kind == "overlap") {
     r = layer(args.take_int<db::layer_t>("layer"))
             .overlap_with(args.take_int<db::layer_t>("with"))
-            .area_at_least(args.take_int<area_t>("min_area"));
+            .area_at_least(args.take_area("min_area"));
   } else if (kind == "notcut") {
     r = layer(args.take_int<db::layer_t>("layer"))
             .not_cut_by(args.take_int<db::layer_t>("with"))
-            .area_at_least(args.take_int<area_t>("min_area"));
+            .area_at_least(args.take_area("min_area"));
   } else {
     throw deck_error("unknown rule kind '" + kind + "'", line);
   }

@@ -16,11 +16,13 @@
 //   rule V2.M2.OV   overlap     layer=25 with=20 min_area=64
 //   rule M1.NC      notcut      layer=19 with=21 min_area=200
 //
-// '#' starts a comment; blank lines are ignored; unknown keys or malformed
-// values raise deck_error with the line number.
+// '#' starts a comment; blank lines are ignored; unknown keys, malformed or
+// negative values, and distances above max_deck_distance raise deck_error
+// with the line number.
 #pragma once
 
 #include <istream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,6 +30,10 @@
 #include "engine/rule.hpp"
 
 namespace odrc::rules {
+
+/// Largest rule distance a deck may state (min, prl distances): the candidate
+/// halo of a larger one overflows coord_t.
+inline constexpr coord_t max_deck_distance = std::numeric_limits<coord_t>::max() / 2;
 
 class deck_error : public std::runtime_error {
  public:

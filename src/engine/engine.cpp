@@ -86,17 +86,13 @@ deck_report drc_engine::check_deck(std::span<const exec_plan> plans, layout_snap
   trace::span ts("engine", "check_deck_plans", "rules", static_cast<std::int64_t>(plans.size()));
   deck_report out;
   out.per_rule.resize(plans.size());
-  for (const plan_group& g : group_pair_plans(plans)) {
-    group_report gr = run_pair_group(cfg_, impl_->streams, snap, plans, g, window);
+  for (const plan_group& g : group_plans(plans)) {
+    group_report gr = run_group(cfg_, impl_->streams, snap, plans, g, window);
     out.groups.push_back({g.members, count_group(out.total.deck, gr.shared, g.members.size())});
     for (std::size_t k = 0; k < g.members.size(); ++k) {
       out.per_rule[g.members[k]].merge_from(std::move(gr.per_rule[k]));
     }
     out.total.merge_from(std::move(gr.shared));
-  }
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (plans[i].cls != plan_class::intra) continue;
-    out.per_rule[i] = run_intra_plan(cfg_, impl_->streams, snap, plans[i], window);
   }
   for (const check_report& r : out.per_rule) out.total.merge_from(check_report(r));
   return out;
@@ -113,28 +109,18 @@ deck_report drc_engine::check_region(std::span<const exec_plan> plans, layout_sn
 check_report drc_engine::check_concurrent(const db::library& lib) {
   trace::span ts("engine", "check_concurrent", "rules", static_cast<std::int64_t>(deck_.size()));
   const std::vector<exec_plan> plans = compile_plans(deck_);
-  const std::vector<plan_group> groups = group_pair_plans(plans);
-  std::vector<std::size_t> solo;  // intra rules, one task each
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (plans[i].cls == plan_class::intra) solo.push_back(i);
-  }
+  const std::vector<plan_group> groups = group_plans(plans);
 
-  // One task per group + one per remaining rule. Each task owns its stream
-  // pool and memo tables; the layout snapshot is the exception — its caches
-  // are thread-safe, so all tasks share ONE instead of each rebuilding the
-  // hierarchy.
+  // One task per group. Each task owns its stream pool and memo tables; the
+  // layout snapshot is the exception — its caches are thread-safe, so all
+  // tasks share ONE instead of each rebuilding the hierarchy.
   layout_snapshot snap(lib);
-  const std::size_t ntasks = groups.size() + solo.size();
-  std::vector<check_report> reports(ntasks);
-  thread_pool::global().parallel_for(0, ntasks, [&](std::size_t t) {
+  std::vector<check_report> reports(groups.size());
+  thread_pool::global().parallel_for(0, groups.size(), [&](std::size_t t) {
     stream_pool local_streams;
-    if (t < groups.size()) {
-      group_report gr = run_pair_group(cfg_, local_streams, snap, plans, groups[t]);
-      count_group(reports[t].deck, gr.shared, groups[t].members.size());
-      reports[t].merge_from(std::move(gr).merged());
-    } else {
-      reports[t] = run_intra_plan(cfg_, local_streams, snap, plans[solo[t - groups.size()]]);
-    }
+    group_report gr = run_group(cfg_, local_streams, snap, plans, groups[t]);
+    count_group(reports[t].deck, gr.shared, groups[t].members.size());
+    reports[t].merge_from(std::move(gr).merged());
   });
   check_report merged;
   for (check_report& r : reports) merged.merge_from(std::move(r));
@@ -169,24 +155,16 @@ std::vector<rect> drc_engine::recheck_windows(const exec_plan& plan, layout_snap
 }
 
 check_report drc_engine::check(const db::library& lib, const rules::rule& r) {
+  const exec_plan plan = compile_plan(r);
   layout_snapshot snap(lib);
-  return run_compiled(compile_plan(r), impl_->streams, snap, std::nullopt);
+  return check_deck(std::span(&plan, 1), snap).total;
 }
 
 check_report drc_engine::check_region(const db::library& lib, const rules::rule& r,
                                       const rect& window) {
+  const exec_plan plan = compile_plan(r);
   layout_snapshot snap(lib);
-  check_report report = run_compiled(compile_plan(r), impl_->streams, snap, window);
-  keep_in_window(report.violations, window);
-  return report;
-}
-
-check_report drc_engine::run_compiled(const exec_plan& plan, stream_pool& streams,
-                                      layout_snapshot& snap, const std::optional<rect>& window) {
-  if (plan.cls == plan_class::intra) return run_intra_plan(cfg_, streams, snap, plan, window);
-  // A single pair rule is a one-member group.
-  const plan_group g{plan.layer1, plan.layer2, plan.two_layer, plan.whole_clip, plan.inflate, {0}};
-  return run_pair_group(cfg_, streams, snap, std::span(&plan, 1), g, window).merged();
+  return check_region(std::span(&plan, 1), snap, window).total;
 }
 
 }  // namespace odrc::engine

@@ -21,8 +21,11 @@
 //   4. the device executor is brute-force (threads per polygon/pair) for
 //      small rows, two-kernel parallel sweep for large ones (Section IV-E).
 //
-// Intra-polygon rules (width, area, shape) run per master in both modes and
-// reuse results across instances (Section IV-C intra-polygon pruning).
+// Intra-polygon rules (width, area, shape) walk each layer's placements once
+// per group, run per master in both modes (the width kernel on the device in
+// parallel mode) and reuse results across isometric placements (Section
+// IV-C intra-polygon pruning) through the same per-object evaluator that
+// checks spacing notches.
 //
 // Derived-area (boolean) and coloring rules partition like distance rules —
 // inflate 0 so abutting shapes share a clip, the same-mask spacing for
@@ -48,7 +51,6 @@
 namespace odrc::engine {
 
 struct exec_plan;       // plan.hpp
-class stream_pool;      // pipeline.hpp
 class layout_snapshot;  // snapshot.hpp
 
 /// Execution branch (paper Fig. 1: sequential CPU / parallel GPU).
@@ -86,7 +88,7 @@ struct engine_config {
 
 /// Deck-batching amortization counters (reported by `odrc check`).
 struct deck_stats {
-  std::size_t groups = 0;        ///< pair-plan groups executed
+  std::size_t groups = 0;        ///< plan groups executed
   std::size_t batched_rules = 0; ///< rules that shared a group with others
   double shared_seconds = 0;     ///< shared-phase time paid once per group
   double saved_seconds = 0;      ///< est. shared time avoided vs per-rule runs
@@ -136,7 +138,7 @@ struct check_report {
   }
 };
 
-/// One executed pair-plan group: its member rules and the time of the phases
+/// One executed plan group: its member rules and the time of the phases
 /// they shared (partition / sweepline / pack / device), which no member's own
 /// report carries.
 struct group_timing {
@@ -151,14 +153,14 @@ struct group_timing {
 struct deck_report {
   check_report total;
   std::vector<check_report> per_rule;  ///< parallel to drc_engine::deck()
-  std::vector<group_timing> groups;    ///< pair-plan groups, in execution order
+  std::vector<group_timing> groups;    ///< plan groups, in execution order
 };
 
 /// The DRC engine. Holds configuration and an optional rule deck. Every entry
 /// point compiles rules into plans (plan.hpp) and runs them over a layout
-/// snapshot: a deck's pair plans sharing a layer set and evaluator form one
-/// group and run over one shared pipeline pass (deck batching); intra plans,
-/// and a single rule, run alone.
+/// snapshot: a deck's plans sharing a layer set and evaluator form one group
+/// and run over one shared walk (deck batching); a single rule is a
+/// one-member group.
 class drc_engine {
  public:
   explicit drc_engine(engine_config cfg = {});
@@ -179,9 +181,9 @@ class drc_engine {
 
   /// Run the whole deck with per-rule report attribution: compile the deck,
   /// build one layout snapshot and run the plan-level check_deck below.
-  /// Rules whose plans share a layer set are grouped (plan.hpp
-  /// group_pair_plans) and executed over one shared pipeline pass;
-  /// total.deck carries the amortization counters.
+  /// Rules whose plans share a layer set are grouped (plan.hpp group_plans)
+  /// and executed over one shared walk; total.deck carries the amortization
+  /// counters.
   deck_report check_deck(const db::library& lib);
 
   /// Plan-level variant for warm-path callers (odrc::serve sessions, the
@@ -217,14 +219,15 @@ class drc_engine {
                                                   std::span<const rect> dirty) const;
 
   /// Task parallelism (paper Section I: "different design rules can be
-  /// checked concurrently"): run the deck's plan groups and remaining rules
-  /// as independent tasks on the host worker pool. Each task owns its
-  /// memo tables and (in parallel mode) device streams; all tasks share one
-  /// layout snapshot, whose caches are thread-safe. The merged report equals
-  /// check(lib) up to ordering.
+  /// checked concurrently"): run the deck's plan groups as independent tasks
+  /// on the host worker pool. Each task owns its memo tables and (in
+  /// parallel mode) device streams; all tasks share one layout snapshot,
+  /// whose caches are thread-safe. The merged report equals check(lib) up to
+  /// ordering.
   check_report check_concurrent(const db::library& lib);
 
-  /// Run a single rule over a fresh snapshot.
+  /// Run a single rule over a fresh snapshot: the plan-level check_deck over
+  /// its one compiled plan.
   check_report check(const db::library& lib, const rules::rule& r);
 
   /// Region-of-interest (incremental) checking: report exactly the
@@ -234,7 +237,8 @@ class drc_engine {
   /// Candidate soundness follows from the MBR argument of Section IV-C: an
   /// edge in the window belongs to an object whose MBR overlaps the window,
   /// and its violation partner lies within the rule distance of it, hence
-  /// within the rule-distance-inflated window.
+  /// within the rule-distance-inflated window. The plan-level check_region
+  /// over the rule's one compiled plan.
   check_report check_region(const db::library& lib, const rules::rule& r, const rect& window);
 
   // --- individual checks (each builds the rule and runs check(lib, r)) ------
@@ -268,11 +272,6 @@ class drc_engine {
   }
 
  private:
-  /// The single-rule dispatch: run one compiled plan against a snapshot. A
-  /// pair plan runs as a one-member group.
-  check_report run_compiled(const exec_plan& plan, stream_pool& streams, layout_snapshot& snap,
-                            const std::optional<rect>& window);
-
   struct impl;
   engine_config cfg_;
   std::vector<rules::rule> deck_;

@@ -14,7 +14,6 @@ namespace odrc::engine {
 
 namespace {
 
-using checks::check_stats;
 using checks::violation;
 using db::cell_id;
 using db::layer_t;
@@ -111,174 +110,202 @@ check_report group_report::merged() && {
   return total;
 }
 
-// ---------------------------------------------------------------------------
-// Intra-class plans
-// ---------------------------------------------------------------------------
-
 namespace {
 
-// Compute the master-local violations of an intra rule.
-std::vector<violation> compute_intra_master(const db::cell& c, const master_layer_view& v,
-                                            const rules::rule& r, check_stats& cs) {
-  std::vector<violation> out;
-  for (std::uint32_t pi : v.poly_indices) {
-    const db::polygon_elem& p = c.polygons()[pi];
-    switch (r.kind) {
-      case checks::rule_kind::width:
-        checks::check_width(p.poly, p.layer, r.distance, out, cs);
-        break;
-      case checks::rule_kind::area:
-        checks::check_area(p.poly, p.layer, r.min_area, out, cs);
-        break;
-      case checks::rule_kind::rectilinear:
-        checks::check_rectilinear(p.poly, p.layer, out, cs);
-        break;
-      case checks::rule_kind::custom: {
-        ++cs.polygons_tested;
-        if (r.predicate && !r.predicate(p)) {
-          const rect m = p.poly.mbr();
-          out.push_back({checks::rule_kind::custom, p.layer, p.layer,
-                         edge{{m.x_min, m.y_min}, {m.x_max, m.y_min}},
-                         edge{{m.x_min, m.y_max}, {m.x_max, m.y_max}}, 0});
-        }
-        break;
+// ---------------------------------------------------------------------------
+// The per-object evaluator
+// ---------------------------------------------------------------------------
+
+// One plan's per-object part over an object's polygons, all in one frame:
+// check_single on each polygon, then — pair plans — every polygon pair of the
+// object, candidate-filtered by a local sweep.
+void eval_polys(const exec_plan& p, std::span<const db::polygon_elem* const> polys,
+                std::span<const rect> mbrs, std::vector<violation>& out, check_report& r) {
+  for (const db::polygon_elem* e : polys) p.check_single(*e, out, r.check_stats);
+  if (p.cls != plan_class::pair || polys.size() < 2) return;
+  sweep::overlap_pairs_inflated(
+      mbrs, half_distance(p.inflate),
+      [&](std::uint32_t i, std::uint32_t j) {
+        p.check_pair(polys[i]->poly, mbrs[i], polys[j]->poly, mbrs[j], out, r.check_stats);
+      },
+      &r.sweep_stats);
+}
+
+void place(std::span<const violation> local, const transform& t, check_report& r) {
+  for (const violation& lv : local) r.violations.push_back(transformed(lv, t));
+}
+
+// Paper §IV-C intra-object reuse, for every member plan of a group on one
+// layer: an isometric placement of a whole master replays the master-frame
+// result, computed once per master (memo) — on the device for width plans in
+// parallel mode. Magnification scales distances and areas, so a magnified
+// placement is checked directly in the top frame, except for custom and
+// rectilinear plans, whose verdicts it preserves. A split object (one polygon
+// of a single-use master) is checked in the master frame and placed. Safe to
+// call from concurrent clip tasks.
+class object_evaluator {
+ public:
+  object_evaluator(const engine_config& cfg, layout_snapshot& snap,
+                   std::span<const exec_plan* const> plans, layer_t layer,
+                   device::stream* stream)
+      : cfg_(cfg),
+        snap_(snap),
+        plans_(plans),
+        layer_(layer),
+        stream_(stream),
+        memos_(std::make_unique<memo_slot[]>(plans.size())) {}
+
+  // Append every plan's violations on object `in`, in top coordinates, to
+  // pr[k] (parallel to the plans).
+  void run(const inst& in, std::span<check_report> pr) {
+    const db::cell& c = snap_.lib().at(in.master);
+    const master_layer_view& v = snap_.views().get(in.master, layer_);
+    if (in.split()) {
+      const db::polygon_elem* e = &c.polygons()[v.poly_indices[in.poly_index]];
+      const std::span<const rect> mbr(&v.poly_mbrs[in.poly_index], 1);
+      for (std::size_t k = 0; k < plans_.size(); ++k) {
+        auto t = pr[k].phases.measure("edge_check");
+        std::vector<violation> local;
+        eval_polys(*plans_[k], std::span(&e, 1), mbr, local, pr[k]);
+        place(local, in.t, pr[k]);
       }
-      default: break;
+      return;
     }
-  }
-  return out;
-}
-
-// Intra checks over already-transformed polygons (used for magnified
-// instances, whose master results cannot be reused: distances scale).
-std::vector<violation> compute_intra_polys(std::span<const polygon> polys, layer_t layer,
-                                           const rules::rule& r, check_stats& cs) {
-  std::vector<violation> out;
-  for (const polygon& p : polys) {
-    switch (r.kind) {
-      case checks::rule_kind::width:
-        checks::check_width(p, layer, r.distance, out, cs);
-        break;
-      case checks::rule_kind::area:
-        checks::check_area(p, layer, r.min_area, out, cs);
-        break;
-      case checks::rule_kind::rectilinear:
-        checks::check_rectilinear(p, layer, out, cs);
-        break;
-      default: break;  // custom rules are transform-independent
-    }
-  }
-  return out;
-}
-
-// Device variant of the width check for one master (paper: intra checks also
-// run on the GPU in parallel mode; Table I's "Par" column). The master's
-// packed edges come straight from the snapshot cache — poly ids are the
-// view-local indices with group 0, exactly what a from-scratch pack produced.
-std::vector<violation> compute_intra_master_device(device::stream& s,
-                                                   const packed_master_edges& pm,
-                                                   const rules::rule& r,
-                                                   const engine_config& cfg,
-                                                   sweep::device_check_stats& ds) {
-  std::vector<violation> out;
-  sweep::device_check_config dcfg{sweep::pair_check::width, r.distance, r.layer1, r.layer1,
-                                  sweep::sweep_axis::y};
-  sweep::device_check_edges_with(s, pm.edges, dcfg, cfg.executor, out, ds, cfg.brute_threshold);
-  return out;
-}
-
-}  // namespace
-
-check_report run_intra_plan(const engine_config& cfg, stream_pool& streams,
-                            layout_snapshot& snap, const exec_plan& plan,
-                            const std::optional<rect>& window) {
-  const rules::rule& r = plan.rule;
-  trace::span ts("engine", "run_intra_plan", "kind", static_cast<std::int64_t>(r.kind), "layer",
-                 r.layer1);
-  check_report report;
-  const db::library& lib = snap.lib();
-  view_cache& views = snap.views();
-  device::stream* stream =
-      cfg.run_mode == mode::parallel && r.kind == checks::rule_kind::width ? &streams.get()
-                                                                           : nullptr;
-
-  // Layers this rule touches: a specific layer, or every populated layer.
-  std::vector<layer_t> layers;
-  if (r.layer1 == rules::any_layer) {
-    layers = snap.index().layers();
-  } else {
-    layers.push_back(r.layer1);
-  }
-
-  for (const layer_t layer : layers) {
-    // The memo caches master-local results for ONE layer; a master can carry
-    // several layers, so the cache must not leak across layer passes.
-    intra_memo memo;
-    for (const cell_id top : lib.top_cells()) {
-      rules::rule layer_rule = r;
-      layer_rule.layer1 = layer;
-      auto t = report.phases.measure("edge_check");
-      for (const db::placed_cell& pc : snap.instances(top, layer).placed) {
-        const master_layer_view& v = views.get(pc.master, layer);
-        if (v.empty()) continue;
-        if (window && !window->overlaps(pc.to_top.apply(v.mbr))) continue;
-        ++report.instances;
-        if (!pc.to_top.is_isometry() && r.kind != checks::rule_kind::custom &&
-            r.kind != checks::rule_kind::rectilinear) {
-          // Magnification scales distances and areas: the memoized master
-          // result does not transfer (paper IV-C: reuse only when "the
-          // transformations preserve the target properties of the check").
-          const poly_set ps = transformed_polys(lib.at(pc.master), v, pc.to_top);
-          for (const violation& lv :
-               compute_intra_polys(ps.polys, layer, layer_rule, report.check_stats)) {
-            report.violations.push_back(lv);
+    // Top-frame copies of the polygons, built once for every plan that
+    // checks a magnified placement directly.
+    std::vector<db::polygon_elem> top;
+    std::vector<const db::polygon_elem*> top_ptrs;
+    std::vector<rect> top_mbrs;
+    for (std::size_t k = 0; k < plans_.size(); ++k) {
+      const exec_plan& p = *plans_[k];
+      if (!in.t.is_isometry() && p.rule.kind != checks::rule_kind::custom &&
+          p.rule.kind != checks::rule_kind::rectilinear) {
+        auto t = pr[k].phases.measure("edge_check");
+        if (top.empty()) {
+          for (const std::uint32_t pi : v.poly_indices) {
+            const db::polygon_elem& e = c.polygons()[pi];
+            top.push_back({e.layer, e.datatype, e.poly.transformed(in.t), {}});
+            top_mbrs.push_back(top.back().poly.mbr());
           }
+          for (const db::polygon_elem& e : top) top_ptrs.push_back(&e);
+        }
+        eval_polys(p, top_ptrs, top_mbrs, pr[k].violations, pr[k]);
+        continue;
+      }
+      const std::vector<violation>* local = nullptr;
+      if (cfg_.enable_memoization) {
+        std::lock_guard lk(memos_[k].mu);
+        local = memos_[k].memo.find(in.master);
+      }
+      if (local) {
+        ++pr[k].prune.intra_reused;
+      } else {
+        ++pr[k].prune.intra_computed;
+        auto t = pr[k].phases.measure("edge_check");
+        std::vector<violation> computed = master_result(p, c, v, in.master, pr[k]);
+        if (!cfg_.enable_memoization) {
+          place(computed, in.t, pr[k]);
           continue;
         }
-        const std::vector<violation>* local = cfg.enable_memoization ? memo.find(pc.master)
-                                                                     : nullptr;
-        if (local) {
-          ++report.prune.intra_reused;
-        } else {
-          ++report.prune.intra_computed;
-          std::vector<violation> computed;
-          if (stream) {
-            computed = compute_intra_master_device(*stream, snap.packed(pc.master, layer),
-                                                   layer_rule, cfg, report.device_stats);
-          } else {
-            computed = compute_intra_master(lib.at(pc.master), v, layer_rule,
-                                            report.check_stats);
-          }
-          if (cfg.enable_memoization) {
-            local = &memo.store(pc.master, std::move(computed));
-          } else {
-            for (const violation& lv : computed) {
-              report.violations.push_back(transformed(lv, pc.to_top));
-            }
-            continue;
-          }
-        }
-        for (const violation& lv : *local) {
-          report.violations.push_back(transformed(lv, pc.to_top));
-        }
+        std::lock_guard lk(memos_[k].mu);
+        const std::vector<violation>* existing = memos_[k].memo.find(in.master);
+        local = existing ? existing : &memos_[k].memo.store(in.master, std::move(computed));
       }
+      place(*local, in.t, pr[k]);
     }
   }
-  return report;
+
+ private:
+  struct memo_slot {
+    intra_memo memo;
+    std::mutex mu;
+  };
+
+  // One plan's violations on a whole master, in its own frame. The device
+  // width kernel reads the master's packed edges straight from the snapshot
+  // cache (poly ids are view-local indices, group 0).
+  std::vector<violation> master_result(const exec_plan& p, const db::cell& c,
+                                       const master_layer_view& v, cell_id master,
+                                       check_report& r) {
+    std::vector<violation> out;
+    if (stream_ && p.rule.kind == checks::rule_kind::width) {
+      const sweep::device_check_config dcfg{sweep::pair_check::width, p.rule.distance, layer_,
+                                            layer_, sweep::sweep_axis::y};
+      sweep::device_check_edges_with(*stream_, snap_.packed(master, layer_).edges, dcfg,
+                                     cfg_.executor, out, r.device_stats, cfg_.brute_threshold);
+      return out;
+    }
+    std::vector<const db::polygon_elem*> polys;
+    polys.reserve(v.poly_indices.size());
+    for (const std::uint32_t pi : v.poly_indices) polys.push_back(&c.polygons()[pi]);
+    eval_polys(p, polys, v.poly_mbrs, out, r);
+    return out;
+  }
+
+  const engine_config& cfg_;
+  layout_snapshot& snap_;
+  std::span<const exec_plan* const> plans_;
+  layer_t layer_;
+  device::stream* stream_;  ///< parallel mode: width plans run on the device
+  std::unique_ptr<memo_slot[]> memos_;
+};
+
+std::vector<const exec_plan*> member_plans(std::span<const exec_plan> plans,
+                                           const plan_group& g) {
+  std::vector<const exec_plan*> mp;
+  for (const std::size_t i : g.members) mp.push_back(&plans[i]);
+  return mp;
 }
 
 // ---------------------------------------------------------------------------
-// Pair-class plan groups
+// Intra groups
 // ---------------------------------------------------------------------------
 
-namespace {
+// Walk the group's layer (every populated layer for any_layer) once and run
+// the per-object evaluator on each whole placed cell. Objects are never split
+// here: in parallel mode that would launch one width kernel per polygon.
+group_report run_intra_group(const engine_config& cfg, stream_pool& streams,
+                             layout_snapshot& snap, std::span<const exec_plan> plans,
+                             const plan_group& g, const std::optional<rect>& window) {
+  trace::span ts("engine", "run_intra_plan", "layer", g.layer1, "rules",
+                 static_cast<std::int64_t>(g.members.size()));
+  group_report out;
+  out.per_rule.resize(g.members.size());
+  const std::vector<const exec_plan*> mp = member_plans(plans, g);
+  // Parallel mode runs width plans on the device, one kernel per master.
+  const bool device = cfg.run_mode == mode::parallel &&
+                      std::ranges::any_of(mp, [](const exec_plan* p) {
+                        return p->rule.kind == checks::rule_kind::width;
+                      });
+  device::stream* stream = device ? &streams.get() : nullptr;
+  const std::vector<layer_t> layers =
+      g.layer1 == rules::any_layer ? snap.index().layers() : std::vector<layer_t>{g.layer1};
+  for (const layer_t layer : layers) {
+    // The memos cache master-frame results of ONE layer; a master can carry
+    // several layers, so each layer gets its own evaluator.
+    object_evaluator eval(cfg, snap, mp, layer, stream);
+    for (const cell_id top : snap.lib().top_cells()) {
+      for (const db::placed_cell& pc : snap.instances(top, layer).placed) {
+        const master_layer_view& v = snap.views().get(pc.master, layer);
+        if (v.empty()) continue;
+        const rect mbr = pc.to_top.apply(v.mbr);
+        if (window && !window->overlaps(mbr)) continue;
+        ++out.shared.instances;
+        eval.run({pc.master, whole_cell, pc.to_top, mbr}, out.per_rule);
+      }
+    }
+  }
+  return out;
+}
 
-// Per-plan memo tables with their locks. Built once per run_pair_group call;
+// ---------------------------------------------------------------------------
+// Pair groups
+// ---------------------------------------------------------------------------
+
+// Per-plan pair memo with its lock. Built once per run_pair_group call;
 // never resized (mutexes are not movable).
-struct memo_slot {
-  intra_memo intra;
+struct pair_slot {
   pair_memo<std::vector<violation>> pairs;
-  std::mutex intra_mu;
   std::mutex pairs_mu;
 };
 
@@ -322,25 +349,6 @@ void pack_ahead_into(pack_ahead_state& st, std::size_t ri) {
   }
 }
 
-// Intra-master work of one plan: per-polygon predicate (spacing notches) plus
-// polygon pairs within the master, candidate-filtered by a local sweepline.
-std::vector<violation> compute_intra_for_plan(const db::cell& c, const master_layer_view& v,
-                                              const exec_plan& plan, check_stats& cs,
-                                              sweep::sweep_stats& ss) {
-  std::vector<violation> out;
-  for (std::uint32_t pi : v.poly_indices) {
-    plan.check_single(c.polygons()[pi].poly, out, cs);
-  }
-  sweep::overlap_pairs_inflated(
-      v.poly_mbrs, half_distance(plan.inflate),
-      [&](std::uint32_t i, std::uint32_t j) {
-        plan.check_pair(c.polygons()[v.poly_indices[i]].poly, v.poly_mbrs[i],
-                        c.polygons()[v.poly_indices[j]].poly, v.poly_mbrs[j], out, cs);
-      },
-      &ss);
-  return out;
-}
-
 // OR into `flags` (one per polygon of `pa`) which of pa's polygons lie inside
 // some polygon of `pb`; both sets in one common frame.
 void mark_contained(const poly_set& pa, const poly_set& pb, std::span<std::uint8_t> flags) {
@@ -353,8 +361,6 @@ void mark_contained(const poly_set& pa, const poly_set& pb, std::span<std::uint8
   }
 }
 
-}  // namespace
-
 group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
                             layout_snapshot& snap, std::span<const exec_plan> plans,
                             const plan_group& g, const std::optional<rect>& window) {
@@ -365,19 +371,21 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
   check_report& shared = out.shared;
   if (nplans == 0) return out;
 
-  std::vector<const exec_plan*> mp(nplans);
-  for (std::size_t k = 0; k < nplans; ++k) mp[k] = &plans[g.members[k]];
-  // Group invariants (group_pair_plans keys on (layer1, layer2, two_layer,
+  const std::vector<const exec_plan*> mp = member_plans(plans, g);
+  // Group invariants (group_plans keys on (cls, layer1, layer2, two_layer,
   // whole_clip)): whole-clip groups hold derived-area or coloring plans;
-  // otherwise single-layer groups hold spacing plans (intra part, no
-  // containment) and two-layer groups enclosure plans (containment, no intra
-  // part).
+  // otherwise single-layer groups hold spacing plans (per-object part, no
+  // containment) and two-layer groups enclosure plans (containment, no
+  // per-object part).
   const bool track = mp.front()->track_containment;
-  const bool has_intra = mp.front()->intra_object;
+  const bool has_intra = !g.two_layer;
 
   const db::library& lib = snap.lib();
   view_cache& views = snap.views();
-  const auto memos = std::make_unique<memo_slot[]>(nplans);
+  const auto memos = std::make_unique<pair_slot[]>(nplans);
+  // Spacing notches and same-object polygon pairs (sequential mode; the
+  // device kernel sees them in parallel mode).
+  object_evaluator intra(cfg, snap, mp, g.layer1, nullptr);
   // Containment flags per pair_key (plan-independent: one memo per group).
   pair_memo<std::vector<std::uint8_t>> contain_memo;
   std::mutex contain_mu;
@@ -631,70 +639,6 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       if (contain) mark_contained(pa, pb, flags);
     };
 
-    // Intra-object work of one instance, every member plan (single-layer
-    // groups only; a two-layer group's cross-layer pairs all come from the
-    // candidate sweep).
-    auto run_intra_inst = [&](const inst& in, std::span<check_report> pr) {
-      if (in.split()) {
-        const master_layer_view& v = views.get(in.master, g.layer1);
-        const polygon& poly = lib.at(in.master).polygons()[v.poly_indices[in.poly_index]].poly;
-        for (std::size_t k = 0; k < nplans; ++k) {
-          auto t = pr[k].phases.measure("edge_check");
-          std::vector<violation> local;
-          mp[k]->check_single(poly, local, pr[k].check_stats);
-          for (const violation& lv : local) {
-            pr[k].violations.push_back(transformed(lv, in.t));
-          }
-        }
-        return;
-      }
-      if (!in.t.is_isometry()) {
-        // Magnified instance: distances scale, master results do not
-        // transfer; check the transformed geometry directly.
-        const poly_set ps = polys_of(lib, views, in, g.layer1, transform{});
-        for (std::size_t k = 0; k < nplans; ++k) {
-          auto t = pr[k].phases.measure("edge_check");
-          for (std::size_t pi = 0; pi < ps.polys.size(); ++pi) {
-            mp[k]->check_single(ps.polys[pi], pr[k].violations, pr[k].check_stats);
-            for (std::size_t pj = pi + 1; pj < ps.polys.size(); ++pj) {
-              mp[k]->check_pair(ps.polys[pi], ps.mbrs[pi], ps.polys[pj], ps.mbrs[pj],
-                                pr[k].violations, pr[k].check_stats);
-            }
-          }
-        }
-        return;
-      }
-      for (std::size_t k = 0; k < nplans; ++k) {
-        const std::vector<violation>* local = nullptr;
-        if (cfg.enable_memoization) {
-          std::lock_guard lk(memos[k].intra_mu);
-          local = memos[k].intra.find(in.master);
-        }
-        if (local) {
-          ++pr[k].prune.intra_reused;
-        } else {
-          ++pr[k].prune.intra_computed;
-          auto t = pr[k].phases.measure("edge_check");
-          std::vector<violation> computed =
-              compute_intra_for_plan(lib.at(in.master), views.get(in.master, g.layer1), *mp[k],
-                                     pr[k].check_stats, pr[k].sweep_stats);
-          if (cfg.enable_memoization) {
-            std::lock_guard lk(memos[k].intra_mu);
-            const std::vector<violation>* existing = memos[k].intra.find(in.master);
-            local = existing ? existing : &memos[k].intra.store(in.master, std::move(computed));
-          } else {
-            for (const violation& lv : computed) {
-              pr[k].violations.push_back(transformed(lv, in.t));
-            }
-            continue;
-          }
-        }
-        for (const violation& lv : *local) {
-          pr[k].violations.push_back(transformed(lv, in.t));
-        }
-      }
-    };
-
     // Whole-clip groups: every member plan's shape-set predicate over the
     // clip's shapes in top coordinates — no candidate sweep, no device.
     auto run_whole_clip = [&](const partition::clip& clip, std::span<check_report> pr) {
@@ -721,7 +665,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         return;
       }
       if (has_intra) {
-        for (const std::uint32_t m : clip.members) run_intra_inst(a_insts[m], pr);
+        for (const std::uint32_t m : clip.members) intra.run(a_insts[m], pr);
       }
 
       // Candidate object pairs from the sweepline (Fig. 3).
@@ -796,6 +740,15 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     }
   }
   return out;
+}
+
+}  // namespace
+
+group_report run_group(const engine_config& cfg, stream_pool& streams, layout_snapshot& snap,
+                       std::span<const exec_plan> plans, const plan_group& g,
+                       const std::optional<rect>& window) {
+  return g.cls == plan_class::intra ? run_intra_group(cfg, streams, snap, plans, g, window)
+                                    : run_pair_group(cfg, streams, snap, plans, g, window);
 }
 
 }  // namespace odrc::engine

@@ -1,26 +1,30 @@
 // The generic check pipeline driver (paper Sections IV-C/D/E, V-C).
 //
-// Every pair rule executes the same way: enumerate the placed instances
-// carrying the rule's layer(s), partition their MBRs into adaptive rows and
-// clips, and evaluate each clip — distance rules enumerate candidate pairs
-// inside the clip and evaluate an edge predicate per candidate; derived-area
-// and coloring rules evaluate the clip's whole shape set once. This module
-// owns that machinery ONCE; the engine compiles each rule into an exec_plan
-// (plan.hpp) and hands it here.
+// Every compiled plan belongs to a plan group (plan.hpp group_plans), and
+// every group runs through one dispatch, run_group(). An intra group walks
+// its layer's placed cells once and hands each to the per-object evaluator:
+// every member plan's per-polygon predicate on the master, computed once per
+// master and replayed at each isometric placement (§IV-C). A pair group
+// enumerates the placed instances carrying its layer(s), partitions their
+// MBRs into adaptive rows and clips, and evaluates each clip — distance
+// rules enumerate candidate pairs inside the clip and evaluate an edge
+// predicate per candidate (spacing groups also run the per-object evaluator
+// for notches); derived-area and coloring rules evaluate the clip's whole
+// shape set once. This module owns that machinery ONCE; the engine compiles
+// each rule into an exec_plan (plan.hpp) and hands its group here.
 //
-// The driver is written against plan *groups* rather than single plans:
-// run_pair_group() executes every member plan of one plan_group over a single
-// instance enumeration, a single row partition, a single candidate sweep and
-// (in parallel mode) a single packed-edge upload per row — the deck-batching
+// A group shares its walk across its member plans: one instance
+// enumeration, one row partition, one candidate sweep per clip and (in
+// parallel mode) one packed-edge upload per row — the deck-batching
 // amortization. A single rule is just a group with one member.
 //
 // Reports come back split (group_report): the `shared` report carries the
 // phases paid once per group (partition / sweepline / pack / device) plus the
-// partition shape and device counters; each `per_rule` report carries that
-// plan's violations, edge_check time, predicate counters and prune counters.
-// The split is what makes per-rule attribution sound — merging a group's
-// reports never double-counts the shared phases because they exist in exactly
-// one report.
+// object count, partition shape and device counters; each `per_rule` report
+// carries that plan's violations, edge_check time, predicate counters and
+// prune counters. The split is what makes per-rule attribution sound —
+// merging a group's reports never double-counts the shared phases because
+// they exist in exactly one report.
 #pragma once
 
 #include <cstdint>
@@ -146,25 +150,24 @@ struct group_report {
   [[nodiscard]] check_report merged() &&;
 };
 
-/// Run an intra-class plan (width / area / rectilinear / custom): per-master
-/// checks, memoized across instances, device width kernel in parallel mode.
-[[nodiscard]] check_report run_intra_plan(const engine_config& cfg, stream_pool& streams,
-                                          layout_snapshot& snap, const exec_plan& plan,
-                                          const std::optional<rect>& window = std::nullopt);
-
-/// Run every member plan of `g` over one shared pipeline pass: one instance
-/// enumeration, one partition, one candidate sweep per clip — and in parallel
-/// mode one packed-edge upload per row with all member predicates evaluated
-/// by a single multi-config kernel (sweep::async_multi_check). In parallel
-/// mode rows are packed ahead on thread_pool::global() (up to
+/// Run every member plan of `g`. Intra groups walk the group's layer (every
+/// populated layer for any_layer) once, whole placed cells only, and run the
+/// per-object evaluator on each — the device width kernel per master in
+/// parallel mode; with a window, only cells whose layer MBR overlaps it.
+///
+/// Pair groups run one shared pipeline pass: one instance enumeration, one
+/// partition, one candidate sweep per clip — and in parallel mode one
+/// packed-edge upload per row with all member predicates evaluated by a
+/// single multi-config kernel (sweep::async_multi_check). In parallel mode
+/// rows are packed ahead on thread_pool::global() (up to
 /// `cfg.pipeline_depth` rows in flight) while earlier rows run on device
-/// streams. Whole-clip groups (derived-area, coloring) skip the sweep and the
-/// device: each clip's shapes go to every member's check_shapes once; with a
-/// window, they partition every object and evaluate the clips whose extent
-/// overlaps it.
-[[nodiscard]] group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
-                                          layout_snapshot& snap,
-                                          std::span<const exec_plan> plans, const plan_group& g,
-                                          const std::optional<rect>& window = std::nullopt);
+/// streams. Whole-clip groups (derived-area, coloring) skip the sweep and
+/// the device: each clip's shapes go to every member's check_shapes once;
+/// with a window, they partition every object and evaluate the clips whose
+/// extent overlaps it.
+[[nodiscard]] group_report run_group(const engine_config& cfg, stream_pool& streams,
+                                     layout_snapshot& snap, std::span<const exec_plan> plans,
+                                     const plan_group& g,
+                                     const std::optional<rect>& window = std::nullopt);
 
 }  // namespace odrc::engine

@@ -112,10 +112,32 @@ sweep::device_check_config exec_plan::device_config(sweep::sweep_axis axis) cons
   return cfg;
 }
 
-void exec_plan::check_single(const polygon& p, std::vector<checks::violation>& out,
+void exec_plan::check_single(const db::polygon_elem& p, std::vector<checks::violation>& out,
                              checks::check_stats& cs) const {
-  if (!intra_object) return;
-  checks::check_spacing_notch(p, layer1, rule.spacing, out, cs);
+  switch (rule.kind) {
+    case checks::rule_kind::width:
+      checks::check_width(p.poly, p.layer, rule.distance, out, cs);
+      break;
+    case checks::rule_kind::area:
+      checks::check_area(p.poly, p.layer, rule.min_area, out, cs);
+      break;
+    case checks::rule_kind::rectilinear:
+      checks::check_rectilinear(p.poly, p.layer, out, cs);
+      break;
+    case checks::rule_kind::custom:
+      ++cs.polygons_tested;
+      if (rule.predicate && !rule.predicate(p)) {
+        const rect m = p.poly.mbr();
+        out.push_back({checks::rule_kind::custom, p.layer, p.layer,
+                       edge{{m.x_min, m.y_min}, {m.x_max, m.y_min}},
+                       edge{{m.x_min, m.y_max}, {m.x_max, m.y_max}}, 0});
+      }
+      break;
+    case checks::rule_kind::spacing:
+      checks::check_spacing_notch(p.poly, p.layer, rule.spacing, out, cs);
+      break;
+    default: break;  // enclosure, derived-area, coloring: no per-polygon part
+  }
 }
 
 void exec_plan::check_pair(const polygon& a, const rect& am, const polygon& b, const rect& bm,
@@ -153,7 +175,9 @@ exec_plan compile_plan(const rules::rule& r) {
     case checks::rule_kind::area:
     case checks::rule_kind::rectilinear:
     case checks::rule_kind::custom:
+      // One layer (or any_layer): the grouping key ignores rule.layer2.
       p.cls = plan_class::intra;
+      p.layer2 = r.layer1;
       p.inflate = r.distance;
       if (r.kind == checks::rule_kind::width) p.device_kind = sweep::pair_check::width;
       break;
@@ -165,7 +189,6 @@ exec_plan compile_plan(const rules::rule& r) {
         p.rule.spacing = checks::spacing_table::simple(r.distance);
       }
       p.inflate = p.rule.spacing.max_distance();
-      p.intra_object = true;
       p.device_kind = sweep::pair_check::spacing;
       break;
     case checks::rule_kind::enclosure:
@@ -192,17 +215,16 @@ exec_plan compile_plan(const rules::rule& r) {
   return p;
 }
 
-std::vector<plan_group> group_pair_plans(std::span<const exec_plan> plans) {
+std::vector<plan_group> group_plans(std::span<const exec_plan> plans) {
   std::vector<plan_group> groups;
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const exec_plan& p = plans[i];
-    if (p.cls != plan_class::pair) continue;
     auto it = std::find_if(groups.begin(), groups.end(), [&](const plan_group& g) {
-      return g.layer1 == p.layer1 && g.layer2 == p.layer2 && g.two_layer == p.two_layer &&
-             g.whole_clip == p.whole_clip;
+      return g.cls == p.cls && g.layer1 == p.layer1 && g.layer2 == p.layer2 &&
+             g.two_layer == p.two_layer && g.whole_clip == p.whole_clip;
     });
     if (it == groups.end()) {
-      groups.push_back({p.layer1, p.layer2, p.two_layer, p.whole_clip, p.inflate, {i}});
+      groups.push_back({p.cls, p.layer1, p.layer2, p.two_layer, p.whole_clip, p.inflate, {i}});
     } else {
       it->inflate = std::max(it->inflate, p.inflate);
       it->members.push_back(i);

@@ -8,17 +8,20 @@
 //     inner/outer pair);
 //   - the interaction distance (`inflate`) that makes the adaptive row
 //     partition and the candidate MBR halo sound for this rule;
+//   - the per-polygon predicate (check_single: width, area, rectilinear,
+//     custom, spacing notches) that the per-object evaluator runs once per
+//     master and replays at every isometric placement;
 //   - the per-candidate-pair edge predicate (evaluated host-side through
-//     check_pair(), device-side through device_config());
-//   - whether the rule has an intra-object component (spacing notches) and
-//     whether it needs the containment post-pass (enclosure);
+//     check_pair(), device-side through device_config()) and whether it
+//     needs the containment post-pass (enclosure);
 //   - for derived-area and coloring rules, the predicate over a whole shape
 //     set (check_shapes) that the driver evaluates once per partition clip.
 //
 // Plans exist so the pipeline driver (pipeline.hpp) can be written once:
-// every pair rule is "enumerate objects, partition, evaluate each clip", and
-// a deck of rules over the same layers can share the enumerate/partition
-// work (group_pair_plans below — the deck-batching key).
+// every plan belongs to a group (group_plans below — the deck-batching key),
+// and every group runs through one dispatch: intra groups walk one layer's
+// placements, pair groups enumerate objects, partition and evaluate each
+// clip, sharing that work across the group's rules.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +39,9 @@ namespace odrc::engine {
 
 struct check_report;  // engine.hpp
 
-/// Which pipeline a compiled rule runs through.
+/// Which group walk a compiled rule runs in.
 enum class plan_class : std::uint8_t {
-  intra,  ///< width / area / rectilinear / custom — per-master, memoized
+  intra,  ///< width / area / rectilinear / custom — per-object only
   pair,   ///< spacing / enclosure / derived-area / coloring — partition clips
 };
 
@@ -56,7 +59,6 @@ struct exec_plan {
   db::layer_t layer2 = rules::any_layer;  ///< outer layer (two_layer plans)
   bool two_layer = false;          ///< objects come from two layers (enclosure)
   coord_t inflate = 0;             ///< interaction distance (partition + halo)
-  bool intra_object = false;       ///< has an intra-object part (spacing notches)
   bool track_containment = false;  ///< needs the enclosure containment post-pass
   /// Derived-area / coloring: evaluated once per clip over the clip's whole
   /// shape set (check_shapes) instead of per candidate pair. The partition
@@ -69,9 +71,10 @@ struct exec_plan {
   /// Device kernel configuration for this plan's edge predicate.
   [[nodiscard]] sweep::device_check_config device_config(sweep::sweep_axis axis) const;
 
-  /// Intra-object predicate: edge pairs within one polygon (spacing
-  /// notches). No-op unless `intra_object`.
-  void check_single(const polygon& p, std::vector<checks::violation>& out,
+  /// Per-polygon predicate: width, area, rectilinear, custom (the
+  /// predicate sees `p` itself, name included) and spacing notches; no-op
+  /// for the other kinds. Violations carry `p.layer`.
+  void check_single(const db::polygon_elem& p, std::vector<checks::violation>& out,
                     checks::check_stats& cs) const;
 
   /// Pair predicate between two polygons in a common frame, with this plan's
@@ -92,16 +95,20 @@ struct exec_plan {
 };
 
 /// Compile one rule. Every rule kind compiles; `cls` tells the caller which
-/// driver to hand the plan to.
+/// group walk runs the plan.
 [[nodiscard]] exec_plan compile_plan(const rules::rule& r);
 
-/// A batch of pair plans sharing the same check-object space and evaluator:
-/// identical (layer1, layer2, two_layer, whole_clip). The pipeline enumerates
-/// instances, computes the row partition, and (in parallel mode) packs row
-/// edges ONCE per group with the group-maximal interaction distance, then
-/// evaluates every member plan's predicate per candidate — one upload, N
-/// rules. Whole-clip groups evaluate every member's check_shapes per clip.
+/// A batch of plans sharing the same check-object space and evaluator:
+/// identical (cls, layer1, layer2, two_layer, whole_clip), so several rules
+/// pay for one walk. An intra group walks its layer's placements once (every
+/// populated layer for `any_layer`, e.g. SHAPES) and evaluates every member
+/// per object. A pair group enumerates instances, computes the row partition
+/// and (in parallel mode) packs row edges ONCE with the group-maximal
+/// interaction distance, then evaluates every member plan's predicate per
+/// candidate — one upload, N rules; whole-clip pair groups evaluate every
+/// member's check_shapes per clip.
 struct plan_group {
+  plan_class cls = plan_class::intra;
   db::layer_t layer1 = rules::any_layer;
   db::layer_t layer2 = rules::any_layer;
   bool two_layer = false;
@@ -110,9 +117,8 @@ struct plan_group {
   std::vector<std::size_t> members;   ///< indices into the compiled plan list
 };
 
-/// Group the pair-class plans of a compiled deck (plans of other classes are
-/// ignored). Groups preserve first-appearance deck order; members keep deck
-/// order within a group.
-[[nodiscard]] std::vector<plan_group> group_pair_plans(std::span<const exec_plan> plans);
+/// Group every plan of a compiled deck. Groups preserve first-appearance
+/// deck order; members keep deck order within a group.
+[[nodiscard]] std::vector<plan_group> group_plans(std::span<const exec_plan> plans);
 
 }  // namespace odrc::engine

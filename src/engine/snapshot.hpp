@@ -204,18 +204,16 @@ void append_packed_polygon(const packed_master_edges& pm, std::size_t local_poly
 /// the file comment for the ownership/lifetime contract.
 class layout_snapshot {
  public:
-  explicit layout_snapshot(const db::library& lib)
-      : lib_(lib), index_(lib), views_(lib) {}
-
-  /// Frozen-backed snapshot: the MBR index adopts the blob's node arrays
-  /// zero-copy and every cache miss consults the blob before building.
-  /// `lib` must be the library the blob was built from (the session
-  /// deserializes it from the same file); the shared_ptr keeps the mapping
-  /// alive for the snapshot's lifetime.
-  layout_snapshot(const db::library& lib, std::shared_ptr<const frozen_backing> frozen)
+  /// Snapshot of `lib`, built on demand. With `frozen`, frozen-backed: the
+  /// MBR index adopts the blob's node arrays zero-copy and every cache miss
+  /// consults the blob before building. `lib` must then be the library the
+  /// blob was built from (the session deserializes it from the same file);
+  /// the shared_ptr keeps the mapping alive for the snapshot's lifetime.
+  explicit layout_snapshot(const db::library& lib,
+                           std::shared_ptr<const frozen_backing> frozen = nullptr)
       : lib_(lib),
         frozen_(std::move(frozen)),
-        index_(frozen_->make_index(lib)),
+        index_(frozen_ ? frozen_->make_index(lib) : db::mbr_index(lib)),
         views_(lib, frozen_.get()) {}
 
   layout_snapshot(const layout_snapshot&) = delete;

@@ -227,23 +227,23 @@ std::string coordinator::do_check(const frame& f) {
   return summarize_keys(keys, want_keys);
 }
 
-std::string coordinator::do_check_region(const frame& f) {
+std::string coordinator::gather_keys(const frame& f, const char* verb, bool by_band) {
   std::istringstream args(f.payload);
-  rect w;
-  if (!(args >> w.x_min >> w.y_min >> w.x_max >> w.y_max) || w.empty()) {
-    throw std::runtime_error("check_region expects 'x1 y1 x2 y2'");
-  }
+  const rect w = parse_window_args(args, verb);
   std::string flag;
   args >> flag;
   const bool want_keys = flag == "keys";
 
-  std::vector<bool> pick(links_.size(), false);
-  bool any = false;
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    pick[i] = links_[i]->band.overlaps(w);
-    any = any || pick[i];
+  // check_region asks the bands overlapping the window. query asks EVERY
+  // worker: an entry is stored where an offending EDGE touches the band,
+  // but its marker box (the joined MBR of both edges) can overlap a window
+  // the band itself misses; ungated — a stored-index lookup costs the
+  // worker almost nothing.
+  std::vector<bool> pick(links_.size(), true);
+  if (by_band) {
+    for (std::size_t i = 0; i < links_.size(); ++i) pick[i] = links_[i]->band.overlaps(w);
+    if (std::ranges::find(pick, true) == pick.end()) return "ok total 0";
   }
-  if (!any) return "ok total 0";
 
   std::vector<leg_result> legs;
   {
@@ -252,8 +252,8 @@ std::string coordinator::do_check_region(const frame& f) {
     // pre-edit and others post-edit, and the union would describe a fleet
     // state that never existed.
     std::lock_guard sc(scatter_mu_);
-    legs = scatter(msg_type::check_region, f.header.session,
-                   f.payload + (want_keys ? "" : " keys"), true, &pick);
+    legs = scatter(static_cast<msg_type>(f.header.type), f.header.session,
+                   f.payload + (want_keys ? "" : " keys"), by_band, &pick);
   }
   std::vector<std::string> keys;
   for (std::size_t i = 0; i < legs.size(); ++i) {
@@ -286,7 +286,7 @@ std::string coordinator::do_recheck(const frame& f) {
   std::vector<std::string> fixed, introduced;
   std::uint64_t windows = 0, purged = 0, inserted = 0;
   bool full = false;
-  std::string first_error;
+  std::string first_error, reply;
   {
     std::lock_guard lk(keys_mu_);
     for (std::size_t i = 0; i < legs.size(); ++i) {
@@ -329,6 +329,10 @@ std::string coordinator::do_recheck(const frame& f) {
       }
     }
     std::sort(last_diff_.unchanged.begin(), last_diff_.unchanged.end());
+    std::ostringstream tail;
+    tail << " windows " << windows << " purged " << purged << " inserted " << inserted
+         << " full " << (full ? 1 : 0);
+    reply = diff_reply(last_diff_, tail.str(), want_keys);
   }
   if (!first_error.empty()) return "error " + first_error;
 
@@ -343,47 +347,7 @@ std::string coordinator::do_recheck(const frame& f) {
     d.introduced = introduced;
     subs_.publish(sid, d);
   }
-
-  std::ostringstream os;
-  os << "ok fixed " << fixed.size() << " new " << introduced.size() << " unchanged "
-     << last_diff_.unchanged.size() << " windows " << windows << " purged " << purged
-     << " inserted " << inserted << " full " << (full ? 1 : 0);
-  if (want_keys) {
-    for (const std::string& k : fixed) os << "\nfixed " << k;
-    for (const std::string& k : introduced) os << "\nnew " << k;
-  }
-  return os.str();
-}
-
-std::string coordinator::do_query(const frame& f) {
-  std::istringstream args(f.payload);
-  rect w;
-  if (!(args >> w.x_min >> w.y_min >> w.x_max >> w.y_max) || w.empty()) {
-    throw std::runtime_error("query expects 'x1 y1 x2 y2 [keys]' with x1<=x2, y1<=y2");
-  }
-  std::string flag;
-  args >> flag;
-  const bool want_keys = flag == "keys";
-
-  // EVERY worker, not just the bands overlapping the window: an entry is
-  // stored where an offending EDGE touches the band, but its marker box (the
-  // joined MBR of both edges) can overlap a window the band itself misses.
-  // Ungated — a stored-index lookup costs the worker almost nothing.
-  std::vector<leg_result> legs;
-  {
-    std::lock_guard sc(scatter_mu_);
-    legs = scatter(msg_type::query, f.header.session,
-                   f.payload + (want_keys ? "" : " keys"), false);
-  }
-  std::vector<std::string> keys;
-  for (const leg_result& leg : legs) {
-    if (!leg.ok) return "error " + leg.error;
-    const std::vector<std::string> ks = tagged_lines(leg.payload, "v");
-    keys.insert(keys.end(), ks.begin(), ks.end());
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());  // seam dedup
-  return summarize_keys(keys, want_keys);
+  return reply;
 }
 
 std::string coordinator::do_broadcast_status(const frame& f) {
@@ -399,19 +363,14 @@ std::string coordinator::do_broadcast_status(const frame& f) {
 std::string coordinator::dispatch(const frame& f) {
   switch (static_cast<msg_type>(f.header.type)) {
     case msg_type::check: return do_check(f);
-    case msg_type::check_region: return do_check_region(f);
-    case msg_type::query: return do_query(f);
+    case msg_type::check_region: return gather_keys(f, "check_region", true);
+    case msg_type::query: return gather_keys(f, "query", false);
     case msg_type::edit: return do_edit(f);
     case msg_type::recheck: return do_recheck(f);
     case msg_type::reload: return do_broadcast_status(f);
     case msg_type::diff: {
       std::lock_guard lk(keys_mu_);
-      std::ostringstream os;
-      os << "ok fixed " << last_diff_.fixed.size() << " new " << last_diff_.introduced.size()
-         << " unchanged " << last_diff_.unchanged.size();
-      for (const std::string& k : last_diff_.fixed) os << "\nfixed " << k;
-      for (const std::string& k : last_diff_.introduced) os << "\nnew " << k;
-      return os.str();
+      return diff_reply(last_diff_, "", true);
     }
     case msg_type::stats: {
       std::string base = server::dispatch(f);

@@ -126,8 +126,10 @@ class coordinator : private detail::sessions_holder, public server {
                                   bool gate, const std::vector<bool>* pick = nullptr);
 
   std::string do_check(const frame& f);
-  std::string do_check_region(const frame& f);
-  std::string do_query(const frame& f);  ///< stored-violation fan-in (all bands)
+  /// check_region (`by_band`: gated, bands overlapping the window) and
+  /// query (ungated, every band): parse the window as the server does,
+  /// scatter, merge the legs' keys with seam dedup, answer like the server.
+  std::string gather_keys(const frame& f, const char* verb, bool by_band);
   std::string do_edit(const frame& f);
   std::string do_recheck(const frame& f);
   std::string do_broadcast_status(const frame& f);  ///< reload: first ok line

@@ -30,16 +30,6 @@ void close_fd(int& fd) {
   }
 }
 
-// "x1 y1 x2 y2" prefix of a payload -> rect; returns the stream positioned
-// after the coordinates so callers can read trailing flags ("keys").
-rect parse_window_args(std::istringstream& args, const char* verb) {
-  rect w;
-  if (!(args >> w.x_min >> w.y_min >> w.x_max >> w.y_max) || w.empty()) {
-    throw std::runtime_error(std::string(verb) + " expects 'x1 y1 x2 y2' with x1<=x2, y1<=y2");
-  }
-  return w;
-}
-
 // Reply body of check, check_region and query: "ok total N", one
 // "rule <name> <count>" line per rule with violations, then one "v <key>"
 // line per violation when the caller asked for keys (`keys` non-null).
@@ -57,6 +47,25 @@ std::string summary_reply(const std::vector<report::summary_row>& rows,
 }
 
 }  // namespace
+
+rect parse_window_args(std::istream& args, const char* verb) {
+  rect w;
+  if (!(args >> w.x_min >> w.y_min >> w.x_max >> w.y_max) || w.empty()) {
+    throw std::runtime_error(std::string(verb) + " expects 'x1 y1 x2 y2' with x1<=x2, y1<=y2");
+  }
+  return w;
+}
+
+std::string diff_reply(const report::key_diff& d, const std::string& status_tail, bool keys) {
+  std::ostringstream os;
+  os << "ok fixed " << d.fixed.size() << " new " << d.introduced.size() << " unchanged "
+     << d.unchanged.size() << status_tail;
+  if (keys) {
+    for (const std::string& k : d.fixed) os << "\nfixed " << k;
+    for (const std::string& k : d.introduced) os << "\nnew " << k;
+  }
+  return os.str();
+}
 
 // Pushes a delta under the connection's write mutex — interleaved with the
 // workers' responses, never interleaving bytes with them. A failed or
@@ -461,26 +470,12 @@ std::string server::dispatch(const frame& f) {
       const bool want_keys = f.payload.find("keys") != std::string::npos;
       const recheck_result r =
           s->recheck([&](const report::key_diff& d) { subs_.publish(sid, d); });
-      std::ostringstream os;
-      os << "ok fixed " << r.diff.fixed.size() << " new " << r.diff.introduced.size()
-         << " unchanged " << r.diff.unchanged.size() << " windows " << r.windows << " purged "
-         << r.purged << " inserted " << r.inserted << " full " << (r.full ? 1 : 0);
-      if (want_keys) {
-        for (const std::string& k : r.diff.fixed) os << "\nfixed " << k;
-        for (const std::string& k : r.diff.introduced) os << "\nnew " << k;
-      }
-      return os.str();
+      std::ostringstream tail;
+      tail << " windows " << r.windows << " purged " << r.purged << " inserted " << r.inserted
+           << " full " << (r.full ? 1 : 0);
+      return diff_reply(r.diff, tail.str(), want_keys);
     }
-    case msg_type::diff: {
-      auto s = need_session();
-      const report::key_diff d = s->last_diff();
-      std::ostringstream os;
-      os << "ok fixed " << d.fixed.size() << " new " << d.introduced.size() << " unchanged "
-         << d.unchanged.size();
-      for (const std::string& k : d.fixed) os << "\nfixed " << k;
-      for (const std::string& k : d.introduced) os << "\nnew " << k;
-      return os.str();
-    }
+    case msg_type::diff: return diff_reply(need_session()->last_diff(), "", true);
     case msg_type::stats: {
       const server_stats_snapshot st = stats();
       std::ostringstream os;

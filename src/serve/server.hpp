@@ -38,6 +38,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <istream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -81,6 +82,18 @@ struct server_stats_snapshot {
   double p50_ms = 0;
   double p95_ms = 0;
 };
+
+/// "x1 y1 x2 y2" prefix of a request payload -> rect, leaving `args` after
+/// the coordinates for trailing flags ("keys"). Throws "<verb> expects ..."
+/// on a malformed or inverted window. The server and the coordinator parse
+/// every windowed verb through it.
+[[nodiscard]] rect parse_window_args(std::istream& args, const char* verb);
+
+/// Reply body of recheck and diff: "ok fixed F new N unchanged U", then
+/// `status_tail` on the same line, then — with `keys` — one "fixed <key>"
+/// line per fixed key and one "new <key>" line per introduced key.
+[[nodiscard]] std::string diff_reply(const report::key_diff& d, const std::string& status_tail,
+                                     bool keys);
 
 class server {
  public:

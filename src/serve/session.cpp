@@ -38,14 +38,7 @@ bool touches_band(const checks::violation& v, const rect& band) {
 }  // namespace
 
 session::session(db::library lib, std::vector<rules::rule> deck, engine::engine_config cfg)
-    : lib_(std::move(lib)), deck_(std::move(deck)), eng_(cfg), db_(lib_.name()) {
-  trace::span ts("snapshot", "cold_build", "cells",
-                 static_cast<std::int64_t>(lib_.cell_count()));
-  plans_.reserve(deck_.size());
-  for (const rules::rule& r : deck_) plans_.push_back(engine::compile_plan(r));
-  eng_.add_rules(deck_);
-  snap_.emplace(lib_);
-}
+    : session(nullptr, std::move(lib), std::move(deck), cfg) {}
 
 session::session(std::shared_ptr<const engine::frozen_backing> frozen, db::library lib,
                  std::vector<rules::rule> deck, engine::engine_config cfg)
@@ -54,9 +47,10 @@ session::session(std::shared_ptr<const engine::frozen_backing> frozen, db::libra
       deck_(std::move(deck)),
       eng_(cfg),
       db_(lib_.name()) {
+  trace::span ts("snapshot", frozen_ ? "frozen_boot" : "cold_build", "cells",
+                 static_cast<std::int64_t>(lib_.cell_count()));
   plans_.reserve(deck_.size());
   for (const rules::rule& r : deck_) plans_.push_back(engine::compile_plan(r));
-  eng_.add_rules(deck_);
   snap_.emplace(lib_, frozen_);
 }
 
@@ -70,11 +64,7 @@ void session::reload(std::shared_ptr<const engine::frozen_backing> frozen, db::l
   snap_.reset();
   lib_ = std::move(lib);
   frozen_ = std::move(frozen);
-  if (frozen_) {
-    snap_.emplace(lib_, frozen_);
-  } else {
-    snap_.emplace(lib_);
-  }
+  snap_.emplace(lib_, frozen_);
   // A new layout version invalidates all incremental state.
   dirty_.clear();
   full_required_ = true;
@@ -264,11 +254,7 @@ std::string session::report_text() const {
 
 std::uint32_t session_manager::create(db::library lib, std::vector<rules::rule> deck,
                                       engine::engine_config cfg) {
-  auto s = std::make_shared<session>(std::move(lib), std::move(deck), cfg);
-  std::lock_guard lk(mu_);
-  const std::uint32_t id = next_id_++;
-  sessions_.emplace(id, std::move(s));
-  return id;
+  return create_frozen(nullptr, std::move(lib), std::move(deck), cfg);
 }
 
 std::uint32_t session_manager::create_frozen(

@@ -94,6 +94,7 @@ class session {
     std::vector<std::string> keys;
   };
 
+  /// Cold-boot session: the frozen-backed constructor without a blob.
   session(db::library lib, std::vector<rules::rule> deck,
           engine::engine_config cfg = {});
 
@@ -102,7 +103,7 @@ class session {
   /// make_library`). The snapshot's caches serve span-views into the
   /// mapping; edits go to the copy-on-write overlay, the file stays
   /// untouched. The shared_ptr keeps the mapping alive while any check is
-  /// in flight.
+  /// in flight. A null `frozen` builds the snapshot from `lib` alone.
   session(std::shared_ptr<const engine::frozen_backing> frozen, db::library lib,
           std::vector<rules::rule> deck, engine::engine_config cfg = {});
 
@@ -194,7 +195,8 @@ class session_manager {
   std::uint32_t create(db::library lib, std::vector<rules::rule> deck,
                        engine::engine_config cfg = {});
 
-  /// Frozen-backed variant of create() (mmap boot).
+  /// Frozen-backed variant of create() (mmap boot); create() is this with a
+  /// null `frozen`.
   std::uint32_t create_frozen(std::shared_ptr<const engine::frozen_backing> frozen,
                               db::library lib, std::vector<rules::rule> deck,
                               engine::engine_config cfg = {});

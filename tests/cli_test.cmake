@@ -62,6 +62,15 @@ if(NOT rc STREQUAL "2")
   message(FATAL_ERROR "check --mode=parallel must exit 2 (usage), got ${rc}")
 endif()
 
+# A distance whose candidate halo overflows coord_t is a deck error with the
+# line number, not an internal failure.
+file(WRITE ${WORK_DIR}/overflow.deck "rule S spacing layer=19 min=2147483647\n")
+execute_process(COMMAND ${ODRC_BIN} check ${gds} ${WORK_DIR}/overflow.deck
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc STREQUAL "1" OR NOT err MATCHES "deck line 1:")
+  message(FATAL_ERROR "overflowing deck distance must exit 1 with 'deck line 1:', got ${rc}: ${err}")
+endif()
+
 run(${ODRC_BIN} render ${gds} ${svg} --deck=${deck})
 file(READ ${svg} svg_text)
 if(NOT svg_text MATCHES "</svg>")

@@ -199,6 +199,23 @@ TEST_F(Cluster, ClusterCheckRegionMatchesSingleProcess) {
   EXPECT_EQ(got, expected.keys);
 }
 
+// A malformed or inverted window draws the same error from the coordinator
+// as from a worker server: both parse it through parse_window_args.
+TEST_F(Cluster, WindowErrorsMatchServer) {
+  start_cluster(manual_bands());
+  client via_coord, via_worker;
+  via_coord.connect(cpath);
+  via_worker.connect(wpaths[0]);
+  for (const msg_type t : {msg_type::check_region, msg_type::query}) {
+    for (const char* payload : {"1 2 3", "5 5 1 1 keys", "a b c d"}) {
+      const frame fc = via_coord.request(t, 0, payload);
+      const frame fw = via_worker.request(t, 0, payload);
+      EXPECT_FALSE(client::ok(fc)) << payload;
+      EXPECT_EQ(client::status_line(fc), client::status_line(fw)) << payload;
+    }
+  }
+}
+
 // Broadcast edit + scattered recheck reconcile to the same keys as a
 // single-process session performing the same edit + recheck — including a
 // seam-straddling violation being globally fixed only when its LAST owner

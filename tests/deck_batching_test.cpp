@@ -19,11 +19,11 @@ std::vector<checks::violation> norm(std::vector<checks::violation> v) {
   return v;
 }
 
-// A deck built to batch: 11 rules over 4 layers, of which 7 are edge-pair
-// rules sharing 3 groups — M1 spacing ×3 (one with a PRL tier), M2 spacing
-// ×2, V1-in-M1 enclosure ×2 — plus two intra rules and two whole-clip pair
-// rules (derived-area, coloring) in groups of their own: every plan_class and
-// every pair-group kind is present.
+// A deck built to batch: 11 rules over 4 layers in 6 groups. 7 edge-pair
+// rules share 3 groups — M1 spacing ×3 (one with a PRL tier), M2 spacing ×2,
+// V1-in-M1 enclosure ×2 — the two M1 intra rules (width, area) share one
+// walk, and two whole-clip pair rules (derived-area, coloring) form groups
+// of their own: every plan_class and every group kind is present.
 std::vector<rules::rule> batched_deck() {
   return {
       rules::layer(layers::M1).spacing().greater_than(tech::wire_space),
@@ -52,12 +52,13 @@ db::library make_lib() {
 TEST(DeckBatching, GroupingKeyIsLayerSet) {
   std::vector<exec_plan> plans;
   for (const rules::rule& r : batched_deck()) plans.push_back(compile_plan(r));
-  const std::vector<plan_group> groups = group_pair_plans(plans);
+  const std::vector<plan_group> groups = group_plans(plans);
 
-  ASSERT_EQ(groups.size(), 5u);
-  // Deck order preserved: M1 spacing, M2 spacing, (V1, M1) enclosure, then
-  // the whole-clip groups, which never share a group with edge-pair plans
-  // on the same layers.
+  ASSERT_EQ(groups.size(), 6u);
+  // Deck order preserved: M1 spacing, M2 spacing, (V1, M1) enclosure, the M1
+  // intra group, then the whole-clip groups. Neither intra nor whole-clip
+  // plans share a group with edge-pair plans on the same layers.
+  EXPECT_EQ(groups[0].cls, plan_class::pair);
   EXPECT_EQ(groups[0].layer1, layers::M1);
   EXPECT_FALSE(groups[0].two_layer);
   EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 1, 2}));
@@ -75,20 +76,41 @@ TEST(DeckBatching, GroupingKeyIsLayerSet) {
   EXPECT_EQ(groups[2].inflate, tech::via_enclosure);
   EXPECT_FALSE(groups[2].whole_clip);
 
+  // Width and area on M1: one walk over the M1 placements.
+  EXPECT_EQ(groups[3].cls, plan_class::intra);
+  EXPECT_EQ(groups[3].layer1, layers::M1);
+  EXPECT_FALSE(groups[3].two_layer);
+  EXPECT_EQ(groups[3].members, (std::vector<std::size_t>{7, 8}));
+
   // Derived-area: inflate 0, both operand layers.
-  EXPECT_TRUE(groups[3].whole_clip);
-  EXPECT_EQ(groups[3].layer1, layers::V1);
-  EXPECT_EQ(groups[3].layer2, layers::M1);
-  EXPECT_TRUE(groups[3].two_layer);
-  EXPECT_EQ(groups[3].members, (std::vector<std::size_t>{9}));
-  EXPECT_EQ(groups[3].inflate, 0);
+  EXPECT_EQ(groups[4].cls, plan_class::pair);
+  EXPECT_TRUE(groups[4].whole_clip);
+  EXPECT_EQ(groups[4].layer1, layers::V1);
+  EXPECT_EQ(groups[4].layer2, layers::M1);
+  EXPECT_TRUE(groups[4].two_layer);
+  EXPECT_EQ(groups[4].members, (std::vector<std::size_t>{9}));
+  EXPECT_EQ(groups[4].inflate, 0);
 
   // Coloring: inflate is the same-mask spacing.
-  EXPECT_TRUE(groups[4].whole_clip);
-  EXPECT_EQ(groups[4].layer1, layers::M2);
-  EXPECT_FALSE(groups[4].two_layer);
-  EXPECT_EQ(groups[4].members, (std::vector<std::size_t>{10}));
-  EXPECT_EQ(groups[4].inflate, 60);
+  EXPECT_TRUE(groups[5].whole_clip);
+  EXPECT_EQ(groups[5].layer1, layers::M2);
+  EXPECT_FALSE(groups[5].two_layer);
+  EXPECT_EQ(groups[5].members, (std::vector<std::size_t>{10}));
+  EXPECT_EQ(groups[5].inflate, 60);
+
+  // SHAPES-style rules (any layer) share one group apart from the per-layer
+  // intra rules.
+  const std::vector<exec_plan> shapes = {
+      compile_plan(rules::polygons().is_rectilinear()),
+      compile_plan(rules::layer(layers::M1).polygons().is_rectilinear()),
+      compile_plan(rules::polygons().ensures([](const db::polygon_elem&) { return true; })),
+  };
+  const std::vector<plan_group> sg = group_plans(shapes);
+  ASSERT_EQ(sg.size(), 2u);
+  EXPECT_EQ(sg[0].layer1, rules::any_layer);
+  EXPECT_EQ(sg[0].members, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(sg[1].layer1, layers::M1);
+  EXPECT_EQ(sg[1].members, (std::vector<std::size_t>{1}));
 }
 
 // check(lib) == check_deck(lib).total == check_concurrent(lib) == the union
@@ -144,8 +166,8 @@ TEST(DeckBatching, AmortizationStatsRecorded) {
   drc_engine batched;
   batched.add_rules(deck);
   const deck_stats on = batched.check_deck(lib).total.deck;
-  EXPECT_EQ(on.groups, 5u);
-  EXPECT_EQ(on.batched_rules, 7u);  // intra rules and one-member groups batch nothing
+  EXPECT_EQ(on.groups, 6u);
+  EXPECT_EQ(on.batched_rules, 9u);  // one-member groups batch nothing
   EXPECT_GT(on.shared_seconds, 0.0);
   EXPECT_GE(on.saved_seconds, 0.0);
 }

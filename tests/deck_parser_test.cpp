@@ -87,6 +87,31 @@ TEST(DeckParser, ErrorsCarryLineNumbers) {
   expect_line("rule S spacing layer=1 min=10 prl=bad\n", 1);
   expect_line("rule S spacing layer=1 min=10 prl=1:2,3:4,5:6,7:8\n", 1);  // too many tiers
   expect_line("rule\n", 1);  // missing name/kind
+  // Negative values.
+  expect_line("rule S spacing layer=19 min=-5\n", 1);
+  expect_line("rule W width layer=19 min=-1\n", 1);
+  expect_line("rule E enclosure inner=21 outer=19 min=-5\n", 1);
+  expect_line("rule A area layer=19 min=-1000\n", 1);
+  expect_line("rule O overlap layer=21 with=19 min_area=-64\n", 1);
+  expect_line("rule N notcut layer=19 with=21 min_area=-1\n", 1);
+  expect_line("rule S spacing layer=19 min=18 prl=-500:-24\n", 1);
+  expect_line("rule S spacing layer=19 min=18 prl=500:-24\n", 1);
+  expect_line("rule S spacing layer=19 min=18 prl=-500:24\n", 1);
+  // Distances whose candidate halo overflows coord_t.
+  expect_line("rule S spacing layer=19 min=2147483647\n", 1);
+  expect_line("rule W width layer=19 min=1073741824\n", 1);
+  expect_line("rule E enclosure inner=21 outer=19 min=1073741824\n", 1);
+  expect_line("# fine\nrule S spacing layer=19 min=18 prl=500:1073741824\n", 2);
+}
+
+// The bounds of the value checks above are themselves accepted.
+TEST(DeckParser, ZeroAndMaxDistanceAccepted) {
+  const auto deck = parse_deck(
+      "rule S spacing layer=19 min=0 prl=0:1073741823\n"
+      "rule A area layer=19 min=0\n");
+  ASSERT_EQ(deck.size(), 2u);
+  EXPECT_EQ(deck[0].distance, max_deck_distance);
+  EXPECT_EQ(deck[1].min_area, 0);
 }
 
 TEST(DeckParser, ParsedDeckRunsInEngine) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "baseline/baseline.hpp"
+#include "checks/poly_checks.hpp"
 #include "engine/engine.hpp"
+#include "engine/task_prune.hpp"
 
 namespace odrc {
 namespace {
@@ -101,6 +103,43 @@ TEST(Magnification, PairMemoSkipsMagnifiedPairs) {
   EXPECT_EQ(norm(e.run_spacing(lib, 1, 18).violations),
             norm(flat.run_spacing(lib, 1, 18).violations));
   EXPECT_FALSE(e.run_spacing(lib, 1, 18).violations.empty());
+}
+
+// Custom and rectilinear verdicts do not depend on scale, so a magnified
+// placement replays the master result through its transform — for custom
+// rules the marker is the master MBR's bottom/top edges, placed, not the
+// MBR of the placed polygon (they differ under rotation).
+TEST(Magnification, CustomAndRectilinearReuseMasterResult) {
+  db::library lib;
+  const db::cell_id m = lib.add_cell("m");
+  lib.at(m).add_polygon({1, 0, polygon({{0, 0}, {40, 0}, {0, 30}}), ""});  // unnamed, slanted
+  const db::cell_id top = lib.add_cell("top");
+  const transform plain{{0, 0}, 0, false, 1};
+  const transform mag{{500, 0}, 1, false, 2};  // rotated 90 degrees, mag 2
+  lib.at(top).add_ref({m, plain});
+  lib.at(top).add_ref({m, mag});
+
+  const db::polygon_elem& e = lib.at(m).polygons()[0];
+  checks::check_stats cs;
+  std::vector<checks::violation> master_rect;
+  checks::check_rectilinear(e.poly, 1, master_rect, cs);
+  ASSERT_EQ(master_rect.size(), 1u);
+  const checks::violation master_custom{checks::rule_kind::custom, 1, 1,
+                                        edge{{0, 0}, {40, 0}}, edge{{0, 30}, {40, 30}}, 0};
+  const auto placed = [&](const checks::violation& v) {
+    return norm({engine::transformed(v, plain), engine::transformed(v, mag)});
+  };
+
+  const rules::rule named =
+      rules::layer(1).polygons().ensures([](const db::polygon_elem& p) { return !p.name.empty(); });
+  for (const engine::mode md : {engine::mode::sequential, engine::mode::parallel}) {
+    drc_engine eng({.run_mode = md});
+    EXPECT_EQ(norm(eng.check(lib, rules::layer(1).polygons().is_rectilinear()).violations),
+              placed(master_rect[0]))
+        << "mode " << static_cast<int>(md);
+    EXPECT_EQ(norm(eng.check(lib, named).violations), placed(master_custom))
+        << "mode " << static_cast<int>(md);
+  }
 }
 
 TEST(Magnification, ParallelModeHandlesMag) {

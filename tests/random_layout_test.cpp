@@ -12,7 +12,9 @@
 // partition clips or cut by a window shows up the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <tuple>
 
 #include "checks/edge_checks.hpp"
 #include "checks/poly_checks.hpp"
@@ -151,6 +153,31 @@ std::vector<violation> oracle_width(const db::library& lib, db::layer_t layer, c
   return out;
 }
 
+// Area markers are the polygon MBR's bottom and top edges in the frame the
+// check ran in; a rotated placement replays its master's marker, so compare
+// what does not depend on the frame: the marker box and the measured area.
+std::vector<std::tuple<coord_t, coord_t, coord_t, coord_t, area_t>> area_marks(
+    const std::vector<violation>& vs) {
+  std::vector<std::tuple<coord_t, coord_t, coord_t, coord_t, area_t>> out;
+  for (const violation& v : vs) {
+    const rect m = v.e1.mbr().join(v.e2.mbr());
+    out.emplace_back(m.x_min, m.y_min, m.x_max, m.y_max, v.measured);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<violation> oracle_area(const db::library& lib, db::layer_t layer, area_t min_area) {
+  std::vector<violation> out;
+  checks::check_stats cs;
+  for (const db::cell_id top : lib.top_cells()) {
+    for (const auto& fp : db::flatten_layer(lib, top, layer)) {
+      checks::check_area(fp.poly, layer, min_area, out, cs);
+    }
+  }
+  return out;
+}
+
 // Flatten both layers, run check_enclosure on every (inner, outer) pair, OR
 // the containment verdicts, and report every inner shape contained by none.
 std::vector<violation> oracle_enclosure(const db::library& lib, db::layer_t inner,
@@ -195,6 +222,14 @@ class RandomLayout : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomLayout, EngineMatchesOracle) {
   std::mt19937 rng(static_cast<std::uint32_t>(GetParam()) * 2654435761u + 1);
+  // Windows draw from their own stream so the layouts stay those of rng.
+  std::mt19937 wrng(static_cast<std::uint32_t>(GetParam()));
+  std::uniform_int_distribution<coord_t> corner(-200, 4600), extent(50, 1500);
+  auto random_window = [&] {
+    const coord_t x = corner(wrng), y = corner(wrng);
+    return rect{x, y, static_cast<coord_t>(x + extent(wrng)),
+                static_cast<coord_t>(y + extent(wrng))};
+  };
   for (int iter = 0; iter < 8; ++iter) {
     const db::library lib = random_library(rng);
     drc_engine seq({.run_mode = engine::mode::sequential});
@@ -213,6 +248,27 @@ TEST_P(RandomLayout, EngineMatchesOracle) {
           << "seq width d=" << d << " iter=" << iter;
       EXPECT_EQ(norm(par.run_width(lib, 1, d).violations), want_w)
           << "par width d=" << d << " iter=" << iter;
+
+      // Area thresholds around the random metal sizes (8..90 per side).
+      const area_t min_area = static_cast<area_t>(d) * d * 8;
+      const auto want_a = area_marks(oracle_area(lib, 1, min_area));
+      const auto seq_a = norm(seq.run_area(lib, 1, min_area).violations);
+      EXPECT_EQ(area_marks(seq_a), want_a) << "seq area " << min_area << " iter=" << iter;
+      EXPECT_EQ(norm(par.run_area(lib, 1, min_area).violations), seq_a)
+          << "par area " << min_area << " iter=" << iter;
+
+      for (int k = 0; k < 4; ++k) {
+        const rect w = random_window();
+        const rules::rule width = rules::layer(1).width().greater_than(d);
+        const rules::rule area = rules::layer(1).area().greater_than(min_area);
+        for (drc_engine* e : {&seq, &par}) {
+          const int m = static_cast<int>(e->config().run_mode);
+          EXPECT_EQ(norm(e->check_region(lib, width, w).violations), norm(in_window(want_w, w)))
+              << "width window mode=" << m << " d=" << d << " iter=" << iter;
+          EXPECT_EQ(norm(e->check_region(lib, area, w).violations), norm(in_window(seq_a, w)))
+              << "area window mode=" << m << " d=" << d << " iter=" << iter;
+        }
+      }
 
       const auto want_e = norm(oracle_enclosure(lib, 2, 1, d));
       EXPECT_EQ(norm(seq.run_enclosure(lib, 2, 1, d).violations), want_e)

@@ -205,30 +205,29 @@ int cmd_check(int argc, char** argv) {
                   trace_path.c_str());
     }
   }
-  // A rule's time is its own predicate time; the phases a pair-plan group
-  // shares (partition, sweepline, pack, device) are printed once per group.
+  // A rule's time is its own predicate time; the phases a plan group shares
+  // (partition, sweepline, pack, device) are printed once per group.
   for (std::size_t i = 0; i < deck.size(); ++i) {
     const double secs = dr.per_rule[i].phases.total();
     std::printf("  %-16s %8.3fs own  %zu violations\n", deck[i].name.c_str(), secs,
                 dr.per_rule[i].violations.size());
     db.add(deck[i].name, dr.per_rule[i].violations);
   }
-  std::size_t pair_rules = 0;
   for (const engine::group_timing& g : dr.groups) {
     std::string names;
     for (const std::size_t i : g.members) names += (names.empty() ? "" : ",") + deck[i].name;
     std::printf("  group %-20s %8.3fs shared\n", names.c_str(), g.shared_seconds);
-    pair_rules += g.members.size();
   }
   engine::check_report& total = dr.total;
   std::printf("total: %zu violations in %.3fs (%s mode)\n", total.violations.size(),
               t_total.seconds(), mode_s.c_str());
+  // Every rule runs in exactly one group.
   if (total.deck.groups > 0) {
     std::printf(
-        "batching: %zu pair rules in %zu groups (%.1f rules/group, %zu sharing a pass), "
+        "batching: %zu rules in %zu groups (%.1f rules/group, %zu sharing a pass), "
         "shared phases %.3fs, est. time saved %.3fs\n",
-        pair_rules, total.deck.groups,
-        static_cast<double>(pair_rules) / static_cast<double>(total.deck.groups),
+        deck.size(), total.deck.groups,
+        static_cast<double>(deck.size()) / static_cast<double>(total.deck.groups),
         total.deck.batched_rules, total.deck.shared_seconds, total.deck.saved_seconds);
   }
 
