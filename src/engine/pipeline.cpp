@@ -1,10 +1,7 @@
 #include "engine/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <functional>
-#include <future>
 #include <mutex>
 
 #include "infra/thread_pool.hpp"
@@ -309,46 +306,6 @@ struct pair_slot {
   std::mutex pairs_mu;
 };
 
-// One row of the pack-ahead pipeline. Both the pool workers offered the row
-// and the driver call pack_ahead_into(); the atomic claim guarantees exactly
-// one of them packs it, and a claimed row is being *actively* packed by some
-// thread, so waiting on its future is bounded — the driver never blocks on a
-// task still sitting in the pool queue (which could deadlock when
-// run_pair_group itself runs on a pool worker under check_concurrent).
-struct pack_slot {
-  std::atomic_flag claimed;  // default-clear (C++20)
-  std::promise<std::vector<sweep::packed_edge>> result;
-  std::future<std::vector<sweep::packed_edge>> ready;
-  bool scheduled = false;  // touched by the driver thread only
-};
-
-// Shared between the driver and the offered pool tasks. Tasks hold it by
-// shared_ptr, so the driver never has to *join* them: a task left in the
-// queue when the driver moves on (every pool worker was busy — possible when
-// several deck tasks share the pool) eventually runs as a pure no-op. The
-// driver must NOT block on queued tasks; with concurrent run_pair_group
-// calls saturating the pool, two drivers joining each other's queued tasks
-// is a deadlock.
-//
-// `pack` references driver-frame locals. That is safe: the driver claims
-// every row before leaving its loop and waits for each claimed row's future
-// inside the loop, so any pack body still executing keeps the driver (and
-// its frame) inside the loop; once the driver exits, every row is claimed
-// and no stale task can enter `pack` again.
-struct pack_ahead_state {
-  std::unique_ptr<pack_slot[]> slots;
-  std::function<std::vector<sweep::packed_edge>(std::size_t)> pack;
-};
-
-void pack_ahead_into(pack_ahead_state& st, std::size_t ri) {
-  if (st.slots[ri].claimed.test_and_set()) return;
-  try {
-    st.slots[ri].result.set_value(st.pack(ri));
-  } catch (...) {
-    st.slots[ri].result.set_exception(std::current_exception());
-  }
-}
-
 // OR into `flags` (one per polygon of `pa`) which of pa's polygons lie inside
 // some polygon of `pb`; both sets in one common frame.
 void mark_contained(const poly_set& pa, const poly_set& pb, std::span<std::uint8_t> flags) {
@@ -432,10 +389,10 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     };
 
     if (cfg.run_mode == mode::parallel && !g.whole_clip) {
-      // Row pipeline (Section V-C): up to pipeline_depth rows are in flight,
-      // each on its own stream, while host threads pack the next rows ahead
-      // of the driver. One upload per row; the multi-config kernel evaluates
-      // every member plan's predicate per candidate pair.
+      // Row pipeline (Section V-C): the driver packs row ri while up to
+      // pipeline_depth earlier rows run, each on its own stream. One upload
+      // per row; the multi-config kernel evaluates every member plan's
+      // predicate per candidate pair.
       const std::size_t depth = std::max<std::size_t>(1, cfg.pipeline_depth);
       std::vector<sweep::device_check_config> cfgs(nplans);
       for (std::size_t k = 0; k < nplans; ++k) {
@@ -467,50 +424,22 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         return edges;
       };
 
-      // Pack-ahead slots: rows (ri, ri+depth) are offered to the global pool
-      // while the driver consumes row ri, so up to `depth` rows pack
-      // concurrently with the streams already executing earlier rows.
-      // depth == 1 degenerates to the old serial pack loop.
-      const std::size_t nrows = part.rows.size();
-      const auto ahead = std::make_shared<pack_ahead_state>();
-      ahead->slots = std::make_unique<pack_slot[]>(nrows);
-      for (std::size_t i = 0; i < nrows; ++i) {
-        ahead->slots[i].ready = ahead->slots[i].result.get_future();
-      }
-      ahead->pack = [&](std::size_t ri) { return pack_row(part.rows[ri], ri); };
-
       std::deque<sweep::async_multi_check> in_flight;
-      std::size_t slot = 0;
       std::size_t drained = 0;
-      for (std::size_t ri = 0; ri < nrows; ++ri) {
-        // Offer the lookahead window before touching row ri, so worker packs
-        // overlap both ri's own pack and ri's device wait. The returned
-        // futures are deliberately dropped — see pack_ahead_state.
-        for (std::size_t rj = ri + 1; rj < std::min(nrows, ri + depth); ++rj) {
-          if (ahead->slots[rj].scheduled) continue;
-          ahead->slots[rj].scheduled = true;
-          thread_pool::global().submit([ahead, rj] { pack_ahead_into(*ahead, rj); });
-        }
-        pack_ahead_into(*ahead, ri);  // no-op when a worker claimed the row
-        std::vector<sweep::packed_edge> edges = ahead->slots[ri].ready.get();
-        // Earlier rows keep running on their streams while this row was
-        // packed; drain the oldest only once the pipeline is full.
-        if (in_flight.size() >= depth) {
-          auto t = shared.phases.measure("device");
-          trace::span dts("pipeline", "device_wait", "row",
-                          static_cast<std::int64_t>(drained++));
-          in_flight.front().finish(outs, shared.device_stats);
-          in_flight.pop_front();
-        }
-        in_flight.emplace_back(streams.get(slot++ % depth), std::move(edges), cfgs,
-                               cfg.executor, cfg.brute_threshold);
-      }
-      while (!in_flight.empty()) {
+      auto drain_oldest = [&] {
         auto t = shared.phases.measure("device");
         trace::span dts("pipeline", "device_wait", "row", static_cast<std::int64_t>(drained++));
         in_flight.front().finish(outs, shared.device_stats);
         in_flight.pop_front();
+      };
+      for (std::size_t ri = 0; ri < part.rows.size(); ++ri) {
+        std::vector<sweep::packed_edge> edges = pack_row(part.rows[ri], ri);
+        // Stream ri % depth is free once the row it last ran is drained.
+        if (in_flight.size() >= depth) drain_oldest();
+        in_flight.emplace_back(streams.get(ri % depth), std::move(edges), cfgs, cfg.executor,
+                               cfg.brute_threshold);
       }
+      while (!in_flight.empty()) drain_oldest();
     }
 
     // Host work over the clips: the sequential branch's checks, and parallel

@@ -159,12 +159,11 @@ struct group_report {
 /// partition, one candidate sweep per clip — and in parallel mode one
 /// packed-edge upload per row with all member predicates evaluated by a
 /// single multi-config kernel (sweep::async_multi_check). In parallel mode
-/// rows are packed ahead on thread_pool::global() (up to
-/// `cfg.pipeline_depth` rows in flight) while earlier rows run on device
-/// streams. Whole-clip groups (derived-area, coloring) skip the sweep and
-/// the device: each clip's shapes go to every member's check_shapes once;
-/// with a window, they partition every object and evaluate the clips whose
-/// extent overlaps it.
+/// the calling thread packs each row while up to `cfg.pipeline_depth`
+/// earlier rows run on device streams. Whole-clip groups (derived-area,
+/// coloring) skip the sweep and the device: each clip's shapes go to every
+/// member's check_shapes once; with a window, they partition every object
+/// and evaluate the clips whose extent overlaps it.
 [[nodiscard]] group_report run_group(const engine_config& cfg, stream_pool& streams,
                                      layout_snapshot& snap, std::span<const exec_plan> plans,
                                      const plan_group& g,

@@ -36,7 +36,7 @@
 // NOT thread-safe against concurrent readers: a session must serialize edits
 // against checks (the serve session mutex does). All read caches remain
 // thread-safe (shared_mutex, node-stable unordered_map values):
-// `check_concurrent` tasks and pack-ahead pipeline stages share one snapshot.
+// `check_concurrent` tasks and `host_parallel` clip tasks share one snapshot.
 #pragma once
 
 #include <cstdint>

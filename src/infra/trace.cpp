@@ -31,13 +31,13 @@ void write_escaped(std::ostream& os, const std::string& s) {
 
 }  // namespace
 
-#ifndef ODRC_TRACE_DISABLED
 std::atomic<bool> recorder::enabled_{false};
-#endif
 
 recorder& recorder::instance() {
-  static recorder r;
-  return r;
+  // Never destroyed: threads owned by other statics (a device stream's
+  // dispatcher) may still record or register during static destruction.
+  static recorder* const r = new recorder;
+  return *r;
 }
 
 recorder::thread_buf& recorder::local_buf() {
@@ -56,16 +56,10 @@ recorder::thread_buf& recorder::local_buf() {
 void recorder::enable() {
   clear();
   epoch_ns_.store(now_ns(), std::memory_order_relaxed);
-#ifndef ODRC_TRACE_DISABLED
   enabled_.store(true, std::memory_order_release);
-#endif
 }
 
-void recorder::disable() {
-#ifndef ODRC_TRACE_DISABLED
-  enabled_.store(false, std::memory_order_release);
-#endif
-}
+void recorder::disable() { enabled_.store(false, std::memory_order_release); }
 
 void recorder::clear() {
   std::lock_guard lk(registry_mu_);

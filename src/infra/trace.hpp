@@ -13,8 +13,6 @@
 // Overhead contract:
 //  - disabled (the default): every instrumentation site costs ONE relaxed
 //    atomic load and a predictable branch;
-//  - compiled away: building with -DODRC_TRACE_DISABLED turns enabled() into
-//    `constexpr false`, so the optimizer deletes the sites entirely;
 //  - enabled: events append to per-thread buffers behind a per-buffer mutex
 //    that only its owner thread and the exporter ever contend on.
 //
@@ -94,14 +92,8 @@ class recorder {
   static recorder& instance();
 
   /// True while recording. The disabled path is the hot path: one relaxed
-  /// load, or constant false under ODRC_TRACE_DISABLED.
-  static bool enabled() {
-#ifdef ODRC_TRACE_DISABLED
-    return false;
-#else
-    return enabled_.load(std::memory_order_relaxed);
-#endif
-  }
+  /// load.
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// Start recording: clears previous events and resets the epoch.
   void enable();
@@ -149,9 +141,7 @@ class recorder {
   thread_buf& local_buf();
   void emit(const event& e);
 
-#ifndef ODRC_TRACE_DISABLED
   static std::atomic<bool> enabled_;
-#endif
   std::atomic<std::uint64_t> epoch_ns_{0};
   std::mutex registry_mu_;
   std::vector<std::shared_ptr<thread_buf>> buffers_;

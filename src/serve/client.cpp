@@ -22,7 +22,7 @@ void client::connect(const std::string& endpoint) {
   fd_ = transport::connect_endpoint(endpoint);
 }
 
-frame client::request(msg_type type, std::uint32_t session, const std::string& payload) {
+std::uint16_t client::send(msg_type type, std::uint32_t session, const std::string& payload) {
   if (fd_ < 0) throw std::runtime_error("client not connected");
   frame req;
   req.header.type = static_cast<std::uint8_t>(type);
@@ -32,6 +32,11 @@ frame client::request(msg_type type, std::uint32_t session, const std::string& p
   if (!write_frame(fd_, req)) {
     throw std::runtime_error("request write failed: " + std::string(std::strerror(errno)));
   }
+  return req.header.seq;
+}
+
+frame client::receive(std::uint16_t seq) {
+  if (fd_ < 0) throw std::runtime_error("client not connected");
   for (;;) {
     std::optional<frame> resp = read_frame(fd_);  // protocol_error propagates
     if (!resp) throw std::runtime_error("connection closed before response");
@@ -42,9 +47,9 @@ frame client::request(msg_type type, std::uint32_t session, const std::string& p
       pushed_.push_back(*std::move(resp));
       continue;
     }
-    if (resp->header.seq == req.header.seq) return *std::move(resp);
-    // A response to an earlier pipelined request (not produced by this
-    // synchronous client, but tolerate it).
+    if (resp->header.seq == seq) return *std::move(resp);
+    // A response to an earlier request whose reply was never received:
+    // tolerate it.
   }
 }
 
@@ -76,8 +81,8 @@ std::optional<frame> client::wait_push(int timeout_ms) {
     std::optional<frame> f = read_frame(fd_);  // protocol_error propagates
     if (!f) return std::nullopt;               // connection closed
     if ((f->header.type & response_bit) == 0) return f;
-    // A stray response (pipelined request answered late): drop it — request()
-    // already returned for everything this synchronous client sent.
+    // A stray response (to a request whose reply receive() skipped): drop
+    // it.
   }
 }
 

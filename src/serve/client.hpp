@@ -5,8 +5,12 @@
 // worker links, and the e2e tests are built on it; the framing edge-case
 // tests drive raw fds instead.
 //
+// A request can also be split into send() and receive(seq), so one thread
+// can have a request outstanding on several connections at once (the
+// coordinator's scatter).
+//
 // Full duplex: after `subscribe`, server-initiated `delta` frames arrive
-// interleaved with responses. request() recognizes them by the missing
+// interleaved with responses. receive() recognizes them by the missing
 // response_bit and stashes them; poll_push()/wait_push() hand them out in
 // arrival order, so a caller can pump requests and consume pushes on one
 // connection without a second thread.
@@ -39,7 +43,18 @@ class client {
   /// I/O failure (connection closed mid-request) and protocol_error on a
   /// malformed response stream. Pushed `delta` frames read while waiting are
   /// stashed for poll_push()/wait_push(), never lost.
-  frame request(msg_type type, std::uint32_t session, const std::string& payload = {});
+  frame request(msg_type type, std::uint32_t session, const std::string& payload = {}) {
+    return receive(send(type, session, payload));
+  }
+
+  /// Write a request frame without waiting; returns its seq for receive().
+  /// Throws std::runtime_error when not connected or on write failure.
+  std::uint16_t send(msg_type type, std::uint32_t session, const std::string& payload = {});
+
+  /// Block for the response to the request sent with `seq`, stashing pushed
+  /// frames read on the way and skipping responses to other seqs. Throws
+  /// like request().
+  frame receive(std::uint16_t seq);
 
   /// Next pushed frame if one is already stashed or readable without
   /// blocking; nullopt otherwise.

@@ -109,79 +109,111 @@ void coordinator::start() {
   server::start();
 }
 
-coordinator::leg_result coordinator::run_leg(worker_link& w, msg_type t, std::uint32_t session,
-                                             const std::string& payload, bool gate) {
-  leg_result out;
-  std::lock_guard lk(w.mu);
-  try {
-    if (gate) {
-      bool admitted = false;
-      for (std::size_t attempt = 0; attempt <= ccfg_.admission_retries; ++attempt) {
-        if (attempt > 0) {
-          w.delayed.fetch_add(1);
-          std::this_thread::sleep_for(std::chrono::milliseconds(ccfg_.backoff_ms * attempt));
-        }
-        const frame h = w.cli.request(msg_type::health, 0);
-        if (client::ok(h)) {
-          const std::string line = client::status_line(h);
-          const std::size_t load = static_cast<std::size_t>(status_field(line, "depth") +
-                                                            status_field(line, "inflight"));
-          w.last_depth.store(load);
-          if (load <= ccfg_.max_worker_depth) {
-            admitted = true;
-            break;
-          }
-        }
-        // "error busy" (or a too-deep queue): the worker itself is shedding.
-      }
-      if (!admitted) {
-        w.shed.fetch_add(1);
-        trace::counter("coord", "legs_shed", static_cast<std::int64_t>(w.shed.load()));
-        out.busy = true;
-        out.error = "busy shard " + std::to_string(w.index);
-        return out;
-      }
-    }
-    const frame resp = w.cli.request(t, session, payload);
-    w.legs.fetch_add(1);
-    if (!client::ok(resp)) {
-      const std::string line = client::status_line(resp);
-      out.busy = line.rfind("error busy", 0) == 0;
-      out.error = "shard " + std::to_string(w.index) + ": " + line;
-      return out;
-    }
-    out.ok = true;
-    out.payload = resp.payload;
-    return out;
-  } catch (const std::exception& e) {
-    w.failures.fetch_add(1);
-    w.healthy.store(false);
-    out.error = "shard " + std::to_string(w.index) + " (" + w.endpoint + "): " + e.what();
-    return out;
-  }
-}
-
 std::vector<coordinator::leg_result> coordinator::scatter(msg_type t, std::uint32_t session,
                                                           const std::string& payload, bool gate,
                                                           const std::vector<bool>* pick) {
   trace::span ts("coord", "scatter", "type", static_cast<std::int64_t>(t), "legs",
                  static_cast<std::int64_t>(links_.size()));
   std::vector<leg_result> results(links_.size());
-  // One plain thread per leg: scatter legs block on worker I/O, and nesting
-  // them into thread_pool::global() could deadlock the pool the request
-  // handler itself runs on (ODRC_WORKERS=1).
-  std::vector<std::thread> threads;
-  threads.reserve(links_.size());
+  // Lock the picked links in index order, the same order every scatter
+  // uses, and keep them for the whole scatter.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < links_.size(); ++i) {
     if (pick != nullptr && !(*pick)[i]) {
       results[i].error = "skipped";
       continue;
     }
-    threads.emplace_back([this, &results, i, t, session, &payload, gate] {
-      results[i] = run_leg(*links_[i], t, session, payload, gate);
+    locks.emplace_back(links_[i]->mu);
+    pending.push_back(i);
+  }
+
+  // Run one step of leg i; a transport failure ends the leg and marks the
+  // link unhealthy.
+  auto step = [&](std::size_t i, auto&& fn) {
+    worker_link& w = *links_[i];
+    try {
+      fn(w);
+      return true;
+    } catch (const std::exception& e) {
+      w.failures.fetch_add(1);
+      w.healthy.store(false);
+      results[i].error = "shard " + std::to_string(w.index) + " (" + w.endpoint + "): " + e.what();
+      return false;
+    }
+  };
+  std::vector<std::uint16_t> seqs(links_.size());
+  std::vector<std::size_t> sent;  // legs whose request is on the wire
+  auto send_request = [&](std::size_t i) {
+    if (step(i, [&](worker_link& w) { seqs[i] = w.cli.send(t, session, payload); })) {
+      sent.push_back(i);
+    }
+  };
+
+  if (gate) {
+    // Admission gate: each round probes every pending leg's `health`, then
+    // reads the probes in leg order; an admitted leg's request goes out at
+    // once, so its worker starts while the others back off.
+    for (std::size_t attempt = 0; attempt <= ccfg_.admission_retries && !pending.empty();
+         ++attempt) {
+      if (attempt > 0) {
+        for (const std::size_t i : pending) links_[i]->delayed.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(ccfg_.backoff_ms * attempt));
+      }
+      std::vector<std::size_t> probed;
+      for (const std::size_t i : pending) {
+        if (step(i, [&](worker_link& w) { seqs[i] = w.cli.send(msg_type::health, 0); })) {
+          probed.push_back(i);
+        }
+      }
+      pending.clear();
+      for (const std::size_t i : probed) {
+        bool admitted = false;
+        const bool alive = step(i, [&](worker_link& w) {
+          const frame h = w.cli.receive(seqs[i]);
+          // "error busy" (or a too-deep queue): the worker itself is shedding.
+          if (!client::ok(h)) return;
+          const std::string line = client::status_line(h);
+          const std::size_t load = static_cast<std::size_t>(status_field(line, "depth") +
+                                                            status_field(line, "inflight"));
+          w.last_depth.store(load);
+          admitted = load <= ccfg_.max_worker_depth;
+        });
+        if (admitted) {
+          send_request(i);
+        } else if (alive) {
+          pending.push_back(i);
+        }
+      }
+    }
+    for (const std::size_t i : pending) {
+      worker_link& w = *links_[i];
+      w.shed.fetch_add(1);
+      trace::counter("coord", "legs_shed", static_cast<std::int64_t>(w.shed.load()));
+      results[i].busy = true;
+      results[i].error = "busy shard " + std::to_string(w.index);
+    }
+  } else {
+    for (const std::size_t i : pending) send_request(i);
+  }
+
+  // Every worker runs its leg concurrently; read the replies in leg order.
+  std::ranges::sort(sent);
+  for (const std::size_t i : sent) {
+    step(i, [&](worker_link& w) {
+      const frame resp = w.cli.receive(seqs[i]);
+      w.legs.fetch_add(1);
+      leg_result& out = results[i];
+      if (!client::ok(resp)) {
+        const std::string line = client::status_line(resp);
+        out.busy = line.rfind("error busy", 0) == 0;
+        out.error = "shard " + std::to_string(w.index) + ": " + line;
+        return;
+      }
+      out.ok = true;
+      out.payload = resp.payload;
     });
   }
-  for (std::thread& th : threads) th.join();
   return results;
 }
 

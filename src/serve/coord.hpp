@@ -114,14 +114,12 @@ class coordinator : private detail::sessions_holder, public server {
     std::string error;    ///< message otherwise
   };
 
-  /// One scatter leg: optional admission gate, then the request, with all
-  /// failure accounting. Serializes on the link's mutex.
-  leg_result run_leg(worker_link& w, msg_type t, std::uint32_t session,
-                     const std::string& payload, bool gate);
-
-  /// Scatter `t` to the links selected by `pick` (null = all), one thread
-  /// per leg, and gather. Results align with links_ (unpicked legs are
-  /// default leg_result with ok=false, error="skipped").
+  /// Scatter `t` to the links selected by `pick` (null = all) and gather,
+  /// on the calling thread: each phase (the admission gate's `health`
+  /// probes, then the request) writes one frame on every pending leg and
+  /// then reads the replies in leg order, so the workers run their legs
+  /// concurrently. Results align with links_ (unpicked legs are default
+  /// leg_result with ok=false, error="skipped").
   std::vector<leg_result> scatter(msg_type t, std::uint32_t session, const std::string& payload,
                                   bool gate, const std::vector<bool>* pick = nullptr);
 

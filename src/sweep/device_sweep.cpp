@@ -508,18 +508,8 @@ void async_multi_check::finish(std::span<std::vector<checks::violation>* const> 
 }
 
 // ---------------------------------------------------------------------------
-// Single-predicate facade + synchronous wrappers
+// Synchronous wrappers
 // ---------------------------------------------------------------------------
-
-async_edge_check::async_edge_check(device::stream& s, std::vector<packed_edge> edges,
-                                   const device_check_config& cfg, executor_choice choice,
-                                   std::size_t brute_threshold)
-    : inner_(s, std::move(edges), {cfg}, choice, brute_threshold) {}
-
-void async_edge_check::finish(std::vector<checks::violation>& out, device_check_stats& stats) {
-  std::vector<checks::violation>* outs[] = {&out};
-  inner_.finish(outs, stats);
-}
 
 void pack_polygon_edges(const polygon& poly, std::uint32_t poly_id, std::uint16_t group,
                         std::vector<packed_edge>& out) {
@@ -534,9 +524,10 @@ void device_check_edges_with(device::stream& s, std::span<const packed_edge> edg
                              const device_check_config& cfg, executor_choice choice,
                              std::vector<checks::violation>& out, device_check_stats& stats,
                              std::size_t brute_threshold) {
-  async_edge_check check(s, std::vector<packed_edge>(edges.begin(), edges.end()), cfg, choice,
-                         brute_threshold);
-  check.finish(out, stats);
+  async_multi_check check(s, std::vector<packed_edge>(edges.begin(), edges.end()), {cfg}, choice,
+                          brute_threshold);
+  std::vector<checks::violation>* outs[] = {&out};
+  check.finish(outs, stats);
 }
 
 void device_check_edges(device::stream& s, std::span<const packed_edge> edges,

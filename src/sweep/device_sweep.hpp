@@ -156,23 +156,6 @@ class async_multi_check {
   std::unique_ptr<impl> impl_;
 };
 
-/// Single-predicate facade over async_multi_check (the paper's original
-/// Section V-C row pipeline shape).
-class async_edge_check {
- public:
-  async_edge_check(device::stream& s, std::vector<packed_edge> edges,
-                   const device_check_config& cfg,
-                   executor_choice choice = executor_choice::automatic,
-                   std::size_t brute_threshold = default_brute_threshold);
-
-  /// Blocks until the enqueued work completes; appends violations.
-  /// Must be called exactly once.
-  void finish(std::vector<checks::violation>& out, device_check_stats& stats);
-
- private:
-  async_multi_check inner_;
-};
-
 /// Pack one polygon's edges (appending), tagging them with `poly_id`/`group`.
 void pack_polygon_edges(const polygon& poly, std::uint32_t poly_id, std::uint16_t group,
                         std::vector<packed_edge>& out);

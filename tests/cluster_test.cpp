@@ -3,7 +3,8 @@
 // set of a single-process session — including spacing violations straddling
 // a band seam, which both adjacent workers report and the coordinator dedups
 // by key. Also covers the shard planner, worker-death propagation, the
-// admission backpressure gate, and the TCP transport. Suite names start with
+// admission backpressure gate, scatter legs in flight together, and the TCP
+// transport. Suite names start with
 // "Cluster"/"Coord" so the TSan CI job picks them up.
 #include "serve/coord.hpp"
 
@@ -11,10 +12,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "db/layout.hpp"
@@ -22,6 +29,7 @@
 #include "engine/shard.hpp"
 #include "serve/client.hpp"
 #include "serve/session.hpp"
+#include "serve/transport.hpp"
 
 namespace odrc::serve {
 namespace {
@@ -340,6 +348,115 @@ TEST_F(Cluster, CoordTcpTransportEndToEnd) {
   const frame chk = c.request(msg_type::check, 0);
   ASSERT_TRUE(client::ok(chk)) << chk.payload;
   EXPECT_EQ(coord->current_keys(), single_process_keys());
+}
+
+// Counts the `check` frames the fake workers below have received.
+struct check_rendezvous {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+};
+
+// A stand-in worker speaking raw frames: it answers ping, shard and health
+// itself and replies to `check` only once both fakes have received their
+// `check` frame. The wait is bounded: a coordinator that runs its legs one
+// at a time gets "error stalled" instead of hanging the test.
+class fake_worker {
+ public:
+  fake_worker(const std::string& path, check_rendezvous& rv) : rv_(rv) {
+    lis_.open(path);
+    thread_ = std::thread([this] { run(); });
+  }
+  ~fake_worker() {
+    {
+      std::lock_guard lk(mu_);
+      stop_ = true;
+      if (conn_ >= 0) ::shutdown(conn_, SHUT_RDWR);
+    }
+    thread_.join();
+  }
+
+  [[nodiscard]] const std::string& endpoint() const { return lis_.bound(); }
+
+ private:
+  void run() {
+    pollfd pfd{lis_.fd(), POLLIN, 0};
+    for (;;) {
+      {
+        std::lock_guard lk(mu_);
+        if (stop_) return;
+      }
+      if (::poll(&pfd, 1, 20) > 0) break;
+    }
+    const int fd = ::accept(lis_.fd(), nullptr, nullptr);
+    if (fd < 0) return;
+    {
+      std::lock_guard lk(mu_);
+      conn_ = fd;
+      if (stop_) ::shutdown(fd, SHUT_RDWR);
+    }
+    while (std::optional<frame> f = read_frame(fd)) {
+      if (!write_frame(fd, make_response(*f, reply(*f)))) break;
+    }
+    std::lock_guard lk(mu_);
+    ::close(fd);
+    conn_ = -1;
+  }
+
+  std::string reply(const frame& f) {
+    switch (static_cast<msg_type>(f.header.type)) {
+      case msg_type::ping: return "ok pong";
+      case msg_type::shard: return "ok shard";
+      case msg_type::health: return "ok depth 0 inflight 0";
+      case msg_type::check: {
+        std::unique_lock lk(rv_.mu);
+        ++rv_.arrived;
+        rv_.cv.notify_all();
+        const bool together =
+            rv_.cv.wait_for(lk, std::chrono::seconds(5), [&] { return rv_.arrived >= 2; });
+        return together ? "ok total 0" : "error stalled";
+      }
+      default: return "error unsupported";
+    }
+  }
+
+  check_rendezvous& rv_;
+  transport::listener lis_;
+  std::mutex mu_;
+  bool stop_ = false;
+  int conn_ = -1;
+  std::thread thread_;
+};
+
+// The coordinator's scatter has both legs of one check in flight at once:
+// each fake answers only after the other has received its request too.
+TEST_F(Cluster, ScatterLegsRunConcurrently) {
+  const std::string stem =
+      "/tmp/odrc_cl_" + std::to_string(::getpid()) + "_" + std::to_string(counter_.fetch_add(1));
+  check_rendezvous rv;
+  fake_worker f0(stem + "_f0.sock", rv);
+  fake_worker f1(stem + "_f1.sock", rv);
+
+  coord_config cc;
+  cc.listen.socket_path = stem + "_coord.sock";
+  cc.listen.workers = 2;
+  cc.worker_endpoints = {f0.endpoint(), f1.endpoint()};
+  cc.bands = manual_bands();
+  coord = std::make_unique<coordinator>(std::move(cc));
+  coord->start();
+
+  client c;
+  c.connect(stem + "_coord.sock");
+  const frame chk = c.request(msg_type::check, 0);
+  EXPECT_TRUE(client::ok(chk)) << chk.payload;
+  {
+    std::lock_guard lk(rv.mu);
+    EXPECT_EQ(rv.arrived, 2);
+  }
+  for (const worker_link_stats& w : coord->worker_stats()) {
+    EXPECT_EQ(w.legs, 1u);
+    EXPECT_TRUE(w.healthy);
+  }
 }
 
 // A sharded session's full check is the band-filtered subset of the

@@ -195,23 +195,25 @@ TEST(DeviceSweep, AsyncOverlapsHostWork) {
   const auto polys = random_rects(300, 5);
   auto edges = pack(polys);
   const device_check_config cfg{pair_check::spacing, 18, 5, 5};
-  async_edge_check check(test_stream(), std::move(edges), cfg);
+  async_multi_check check(test_stream(), std::move(edges), {cfg});
   // Host-side work here runs while the device processes the batch.
   int host_work = 0;
   for (int i = 0; i < 1000; ++i) host_work += i;
   EXPECT_EQ(host_work, 499500);
   std::vector<checks::violation> out;
+  std::vector<checks::violation>* outs[] = {&out};
   device_check_stats stats;
-  check.finish(out, stats);
+  check.finish(outs, stats);
   EXPECT_GT(stats.edge_pairs_tested, 0u);
 }
 
 TEST(DeviceSweep, FinishOnEmptyBatchIsNoop) {
-  async_edge_check check(test_stream(), {}, {pair_check::width, 18, 1, 1});
+  async_multi_check check(test_stream(), {}, {{pair_check::width, 18, 1, 1}});
   std::vector<checks::violation> out;
+  std::vector<checks::violation>* outs[] = {&out};
   device_check_stats stats;
-  check.finish(out, stats);
-  check.finish(out, stats);  // second call is also safe
+  check.finish(outs, stats);
+  check.finish(outs, stats);  // second call is also safe
   EXPECT_TRUE(out.empty());
 }
 

@@ -1,13 +1,14 @@
-// Tests for the deck-wide layout snapshot and the pack-ahead row pipeline.
+// Tests for the deck-wide layout snapshot and the parallel row pipeline.
 // The snapshot (one shared mbr_index + view cache + memoized instance lists
 // + master-local packed edges per check call) must be invisible in the
 // results: every mode, mixed decks, multiple top cells, windowed region
 // checks and concurrent execution report exactly what solo per-rule runs
-// (check(lib, rule), each over its own fresh snapshot) report. The parallel branch's pack-ahead must be deterministic across
-// pipeline depths (and worker counts — exercised by the PackAheadWorkers*
-// ctest entries, since the global pool is sized once per process). The
-// env-gated overlap test asserts the point of the pipeline: host packing of
-// later rows overlapping the device wait of earlier rows.
+// (check(lib, rule), each over its own fresh snapshot) report. The parallel
+// branch's row pipeline must be deterministic across pipeline depths (and
+// worker counts — exercised by the PackAheadWorkers* ctest entries, since
+// the global pool is sized once per process). The env-gated overlap test
+// asserts the point of the pipeline: the driver packing a row while the
+// device streams run earlier rows.
 #include "engine/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -176,8 +178,8 @@ TEST(SnapshotEquivalence, ConcurrentSharesOneSnapshot) {
   }
 }
 
-// Pack-ahead scheduling must be invisible: the parallel branch reports the
-// same violations whatever the pipeline depth, and the same as sequential.
+// Row pipelining must be invisible: the parallel branch reports the same
+// violations whatever the pipeline depth, and the same as sequential.
 // The PackAheadWorkers1/PackAheadWorkers4 ctest entries re-run this suite
 // with ODRC_WORKERS pinned, covering the worker-count axis.
 TEST(PackAhead, DepthInvariant) {
@@ -267,23 +269,20 @@ bool intervals_overlap(std::pair<std::uint64_t, std::uint64_t> a,
   return std::max(a.first, b.first) < std::min(a.second, b.second);
 }
 
-// A wide deep pipeline on a slow simulated device must show at least two
-// pack spans, on different host tracks, running concurrently with (and with
-// each other during) a device_wait span — the Section V-C overlap the
-// pack-ahead pipeline exists for. Timing-dependent, so it needs a pinned
-// environment (ODRC_WORKERS=4, ODRC_DEVICE_GBPS=0.5) and retries; the
-// pack_overlap_trace ctest entry provides both, everywhere else it skips.
+// The Section V-C overlap the row pipeline exists for: while the streams run
+// earlier rows, the driver packs the next one, so some pack span on the
+// driver's track overlaps a device copy or kernel span on a stream track.
+// Timing-dependent, so it needs a slow simulated device
+// (ODRC_DEVICE_GBPS=0.5) and retries; the pack_overlap_trace ctest entry
+// provides both, everywhere else it skips.
 TEST(PackAhead, OverlapShowsConcurrentPacks) {
   if (!std::getenv("ODRC_SNAPSHOT_OVERLAP_TEST")) {
     GTEST_SKIP() << "run via the pack_overlap_trace ctest entry "
-                    "(needs ODRC_WORKERS=4 and a slow simulated device)";
+                    "(needs a slow simulated device)";
   }
 
   // 24 partition rows x 24 instances x 144 polygons: ~14k edges per row,
-  // several hundred microseconds of simulated transfer at 0.5 GB/s. The
-  // deep lookahead (depth 8) floods the workers at the start of the row
-  // loop, so several packs are still running when the driver first blocks
-  // on the device.
+  // several hundred microseconds of simulated transfer at 0.5 GB/s.
   db::library lib;
   const db::cell_id m = lib.add_cell("gm");
   for (coord_t i = 0; i < 12; ++i) {
@@ -300,7 +299,6 @@ TEST(PackAhead, OverlapShowsConcurrentPacks) {
 
   engine_config cfg;
   cfg.run_mode = mode::parallel;
-  cfg.pipeline_depth = 8;
   drc_engine e(cfg);
   e.add_rules({rules::layer(1).spacing().greater_than(6),
                rules::layer(1).spacing().greater_than(4)});
@@ -312,29 +310,24 @@ TEST(PackAhead, OverlapShowsConcurrentPacks) {
     (void)e.check(lib);
     rec.disable();
     const std::vector<trace::tagged_event> events = rec.snapshot();
+    std::map<std::uint32_t, std::string> track_names;
+    for (const trace::tagged_event& te : events) track_names[te.tid] = *te.thread_name;
     const auto packs = named_intervals(events, "pipeline", "pack");
-    const auto waits = named_intervals(events, "pipeline", "device_wait");
-
-    // At least one device_wait span must be concurrent with two pack spans
-    // on other tracks: the host keeps packing rows ahead while the driver
-    // blocks on the device. (On a single hardware core the packs time-slice
-    // rather than run simultaneously, so mutual pack/pack overlap is not
-    // required — concurrency with the wait is the property the pipeline
-    // guarantees.)
-    for (const auto& [wt, wiv] : waits) {
-      for (const auto& w : wiv) {
-        std::size_t concurrent = 0;
-        for (const auto& [pt, piv] : packs) {
-          if (pt == wt) continue;
-          for (const auto& p : piv) {
-            if (intervals_overlap(p, w)) ++concurrent;
-          }
-        }
-        found = found || concurrent >= 2;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> device_work;
+    for (const char* name : {"h2d", "kernel"}) {
+      for (const auto& [tid, iv] : named_intervals(events, "device", name)) {
+        if (track_names[tid].rfind("stream ", 0) != 0) continue;
+        device_work.insert(device_work.end(), iv.begin(), iv.end());
+      }
+    }
+    for (const auto& [pt, piv] : packs) {
+      if (track_names[pt].rfind("stream ", 0) == 0) continue;
+      for (const auto& p : piv) {
+        for (const auto& d : device_work) found = found || intervals_overlap(p, d);
       }
     }
   }
-  EXPECT_TRUE(found) << "no device_wait span was overlapped by two pack-ahead spans";
+  EXPECT_TRUE(found) << "no pack span overlapped device work on a stream track";
 }
 
 }  // namespace
