@@ -346,6 +346,9 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
   // Containment flags per pair_key (plan-independent: one memo per group).
   pair_memo<std::vector<std::uint8_t>> contain_memo;
   std::mutex contain_mu;
+  // Whole-clip results per clip content (whole-clip groups only).
+  clip_memo whole_clips;
+  std::mutex clip_mu;
 
   // Whole-clip groups collect every object and window only the clip
   // evaluation: a derived region or conflict component whose violation edges
@@ -569,8 +572,39 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     };
 
     // Whole-clip groups: every member plan's shape-set predicate over the
-    // clip's shapes in top coordinates — no candidate sweep, no device.
-    auto run_whole_clip = [&](const partition::clip& clip, std::span<check_report> pr) {
+    // clip's shapes in top coordinates — no candidate sweep, no device. A
+    // clip whose content (clip_key) an earlier clip already evaluated is an
+    // exact translation of it and replays that result, stored in the anchor
+    // frame (the clip extent's lower-left corner at the origin).
+    auto run_whole_clip = [&](const partition::clip& clip, check_report& sh,
+                              std::span<check_report> pr) {
+      const rect ext = clip_extent(clip, mbrs);
+      const point anchor{ext.x_min, ext.y_min};
+      clip_key key;
+      if (cfg.enable_memoization) {
+        key.reserve(clip.members.size());
+        for (const std::uint32_t m : clip.members) {
+          const bool primary = m < ni;
+          const inst& in = primary ? a_insts[m] : b_insts[m - ni];
+          transform rel = in.t;
+          rel.offset = rel.offset - anchor;
+          key.push_back({!primary, in.master, in.poly_index, rel});
+        }
+        std::ranges::sort(key);
+        const clip_memo::value* res = nullptr;
+        {
+          std::lock_guard lk(clip_mu);
+          res = whole_clips.find(key);
+        }
+        if (res) {
+          ++sh.prune.clips_reused;
+          for (std::size_t k = 0; k < nplans; ++k) place((*res)[k], transform{anchor}, pr[k]);
+          return;
+        }
+      }
+      ++sh.prune.clips_computed;
+      trace::span cts("pipeline", "clip", "members",
+                      static_cast<std::int64_t>(clip.members.size()));
       std::vector<polygon> a, b;
       for (const std::uint32_t m : clip.members) {
         const bool primary = m < ni;
@@ -580,19 +614,29 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         dst.insert(dst.end(), std::make_move_iterator(ps.polys.begin()),
                    std::make_move_iterator(ps.polys.end()));
       }
+      clip_memo::value local(cfg.enable_memoization ? nplans : 0);
       for (std::size_t k = 0; k < nplans; ++k) {
+        const std::size_t first = pr[k].violations.size();
         mp[k]->check_shapes(a, g.two_layer ? std::span<const polygon>(b) : a, pr[k]);
+        if (!cfg.enable_memoization) continue;
+        for (std::size_t i = first; i < pr[k].violations.size(); ++i) {
+          local[k].push_back(transformed(pr[k].violations[i], transform{point{} - anchor}));
+        }
+      }
+      if (cfg.enable_memoization) {
+        std::lock_guard lk(clip_mu);
+        whole_clips.store(std::move(key), std::move(local));
       }
     };
 
     auto process_clip = [&](const partition::clip& clip, check_report& sh,
                             std::span<check_report> pr) {
-      trace::span cts("pipeline", "clip", "members",
-                      static_cast<std::int64_t>(clip.members.size()));
       if (g.whole_clip) {
-        run_whole_clip(clip, pr);
+        run_whole_clip(clip, sh, pr);
         return;
       }
+      trace::span cts("pipeline", "clip", "members",
+                      static_cast<std::int64_t>(clip.members.size()));
       if (has_intra) {
         for (const std::uint32_t m : clip.members) intra.run(a_insts[m], pr);
       }
@@ -667,6 +711,13 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         }
       }
     }
+  }
+  if (g.whole_clip) {
+    const auto computed = static_cast<std::int64_t>(shared.prune.clips_computed);
+    const auto reused = static_cast<std::int64_t>(shared.prune.clips_reused);
+    ts.set_end_args("clips", computed + reused, "reused", reused);
+    trace::instant("prune", "clips_computed", "delta", computed);
+    trace::instant("prune", "clips_reused", "delta", reused);
   }
   return out;
 }

@@ -162,8 +162,10 @@ struct group_report {
 /// the calling thread packs each row while up to `cfg.pipeline_depth`
 /// earlier rows run on device streams. Whole-clip groups (derived-area,
 /// coloring) skip the sweep and the device: each clip's shapes go to every
-/// member's check_shapes once; with a window, they partition every object
-/// and evaluate the clips whose extent overlaps it.
+/// member's check_shapes once, and a clip whose content is a translation of
+/// an evaluated one replays that result (clip_memo, task_prune.hpp); with a
+/// window, they partition every object and evaluate the clips whose extent
+/// overlaps it.
 [[nodiscard]] group_report run_group(const engine_config& cfg, stream_pool& streams,
                                      layout_snapshot& snap, std::span<const exec_plan> plans,
                                      const plan_group& g,

@@ -133,15 +133,26 @@ const instance_set& layout_snapshot::instances(db::cell_id top, db::layer_t laye
 
 const packed_master_edges& layout_snapshot::packed(db::cell_id master, db::layer_t layer) {
   const view_cache::key k = view_cache::make_key(master, layer);
-  bool use_frozen = frozen_ != nullptr;
+  pack_slot* slot = nullptr;
   {
     std::shared_lock lk(pack_mu_);
     auto it = pack_map_.find(k);
-    if (it != pack_map_.end()) return it->second;
-    if (use_frozen) use_frozen = !pack_masked_.contains(master);
+    if (it != pack_map_.end()) slot = &it->second;
   }
-  packed_master_edges pm;
-  if (!use_frozen || !frozen_->fill_packed(master, layer, pm)) {
+  if (!slot) {
+    std::unique_lock lk(pack_mu_);
+    slot = &pack_map_.try_emplace(k).first->second;
+  }
+  // The first caller builds; concurrent callers of the same (master, layer)
+  // wait for that build instead of packing the edges again.
+  std::call_once(slot->once, [&] {
+    packed_master_edges& pm = slot->edges;
+    bool use_frozen = frozen_ != nullptr;
+    if (use_frozen) {
+      std::shared_lock lk(pack_mu_);
+      use_frozen = !pack_masked_.contains(master);
+    }
+    if (use_frozen && frozen_->fill_packed(master, layer, pm)) return;
     const master_layer_view& v = views_.get(master, layer);
     const db::cell& c = lib_.at(master);
     // One exact-size reservation: the cache lives as long as the snapshot.
@@ -159,9 +170,8 @@ const packed_master_edges& layout_snapshot::packed(db::cell_id master, db::layer
       pm.clockwise.push_back(p.is_clockwise() ? 1 : 0);
     }
     pm.edges.assign(std::move(edges));
-  }
-  std::unique_lock lk(pack_mu_);
-  return pack_map_.emplace(k, std::move(pm)).first->second;
+  });
+  return slot->edges;
 }
 
 namespace {

@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -235,8 +236,9 @@ class layout_snapshot {
   /// Thread-safe; the reference is stable for the snapshot's lifetime.
   const instance_set& instances(db::cell_id top, db::layer_t layer);
 
-  /// Memoized master-local packed edges of (master, layer). Thread-safe;
-  /// the reference is stable for the snapshot's lifetime.
+  /// Memoized master-local packed edges of (master, layer). Thread-safe and
+  /// built once: concurrent misses on one key wait for the first build. The
+  /// reference is stable for the snapshot's lifetime.
   const packed_master_edges& packed(db::cell_id master, db::layer_t layer);
 
   // -- Incremental-session invalidation (see the file comment). Callers must
@@ -265,8 +267,14 @@ class layout_snapshot {
   std::unordered_map<view_cache::key, instance_set, view_cache::key_hash> inst_map_;
   bool inst_frozen_enabled_ = true;  ///< guarded by inst_mu_
 
+  /// One (master, layer) entry of the packed-edge cache, built once: a miss
+  /// inserts the slot under pack_mu_ and builds it under `once`.
+  struct pack_slot {
+    std::once_flag once;
+    packed_master_edges edges;
+  };
   mutable std::shared_mutex pack_mu_;
-  std::unordered_map<view_cache::key, packed_master_edges, view_cache::key_hash> pack_map_;
+  std::unordered_map<view_cache::key, pack_slot, view_cache::key_hash> pack_map_;
   std::unordered_set<std::uint64_t> pack_masked_;  ///< guarded by pack_mu_
 };
 

@@ -1,6 +1,6 @@
 // Task pruning from the hierarchy tree (paper Section IV-C).
 //
-// Two memoization tables realize the paper's check-reuse strategy:
+// Three memoization tables realize the paper's check-reuse strategy:
 //
 //  - `intra_memo` caches intra-cell results per master: once a master's
 //    polygons have been checked (width, area, shape, intra-cell spacing),
@@ -14,6 +14,19 @@
 //    the general form of that condition: two pairs with equal keys have
 //    identical relative geometry wherever they occur.
 //
+//  - `clip_memo` caches whole-clip results (derived-area and coloring rules,
+//    which evaluate a partition clip's whole shape set) keyed by the clip's
+//    content: its members sorted as (operand side, master, polygon index of
+//    a split object, placement with the offset taken relative to the
+//    lower-left corner of the clip extent). transform::apply is
+//    integer-exact (integral magnification, 90-degree rotations), so two
+//    clips with equal keys are exact translations of one another, magnified
+//    members included, and one clip's violations replay at the other under
+//    that translation.
+//
+// Every table lives for one group run: an edited master keeps its cell id,
+// so a memo that outlived the run would replay a stale result.
+//
 // Checks are also *eliminated* (never run) when the rule-distance-inflated
 // MBRs of the two objects are disjoint, and duplicate (b, a) checks are
 // skipped by id ordering; both implemented in the engine drivers and counted
@@ -21,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -36,6 +50,8 @@ struct prune_stats {
   std::uint64_t pairs_computed = 0;   ///< distinct relative placements checked
   std::uint64_t pairs_reused = 0;     ///< pair-level reuses
   std::uint64_t pairs_pruned_mbr = 0; ///< eliminated by disjoint inflated MBRs
+  std::uint64_t clips_computed = 0;   ///< whole clips evaluated
+  std::uint64_t clips_reused = 0;     ///< whole clips replayed from the clip memo
 
   prune_stats& operator+=(const prune_stats& o) {
     intra_computed += o.intra_computed;
@@ -43,6 +59,8 @@ struct prune_stats {
     pairs_computed += o.pairs_computed;
     pairs_reused += o.pairs_reused;
     pairs_pruned_mbr += o.pairs_pruned_mbr;
+    clips_computed += o.clips_computed;
+    clips_reused += o.clips_reused;
     return *this;
   }
 };
@@ -122,6 +140,42 @@ class pair_memo {
 
  private:
   std::unordered_map<pair_key, V, pair_key_hash> map_;
+};
+
+/// One member of a whole clip as the clip memo keys it: the operand side
+/// (layer2 of a two-layer plan), the check object and its placement relative
+/// to the lower-left corner of the clip extent.
+struct clip_member {
+  bool side_b = false;
+  db::cell_id master = db::invalid_cell;
+  std::uint32_t poly_index = 0;  ///< engine::whole_cell for a whole placed cell
+  transform rel;
+
+  friend auto operator<=>(const clip_member&, const clip_member&) = default;
+};
+
+/// Key of a whole clip: its members, sorted.
+using clip_key = std::vector<clip_member>;
+
+/// Memo of whole-clip results keyed by clip_key: per member plan, the clip's
+/// violations in its anchor frame (the clip extent's lower-left corner at
+/// the origin).
+class clip_memo {
+ public:
+  using value = std::vector<std::vector<checks::violation>>;
+
+  [[nodiscard]] const value* find(const clip_key& k) const {
+    auto it = map_.find(k);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+
+  /// Keeps an existing entry (another clip task may be reading it).
+  const value& store(clip_key k, value v) {
+    return map_.try_emplace(std::move(k), std::move(v)).first->second;
+  }
+
+ private:
+  std::map<clip_key, value> map_;
 };
 
 }  // namespace odrc::engine

@@ -225,6 +225,7 @@ struct transform {
   coord_t mag = 1;             ///< integral magnification
 
   friend constexpr bool operator==(const transform&, const transform&) = default;
+  friend constexpr auto operator<=>(const transform&, const transform&) = default;
 
   [[nodiscard]] constexpr bool is_identity() const {
     return offset == point{} && rotation == 0 && !reflect_x && mag == 1;

@@ -87,9 +87,10 @@ void recorder::begin(const char* cat, const char* name, const char* k0, std::int
   emit({ts, cat, name, event::kind::begin, k0, a0, k1, a1});
 }
 
-void recorder::end(const char* cat, const char* name) {
+void recorder::end(const char* cat, const char* name, const char* k0, std::int64_t a0,
+                   const char* k1, std::int64_t a1) {
   const std::uint64_t ts = now_ns() - epoch_ns_.load(std::memory_order_relaxed);
-  emit({ts, cat, name, event::kind::end, nullptr, 0, nullptr, 0});
+  emit({ts, cat, name, event::kind::end, k0, a0, k1, a1});
 }
 
 void recorder::counter(const char* cat, const char* name, std::int64_t value) {

@@ -109,7 +109,8 @@ class recorder {
   // --- event emission (call only when enabled(); span/counter below gate) --
   void begin(const char* cat, const char* name, const char* k0 = nullptr,
              std::int64_t a0 = 0, const char* k1 = nullptr, std::int64_t a1 = 0);
-  void end(const char* cat, const char* name);
+  void end(const char* cat, const char* name, const char* k0 = nullptr, std::int64_t a0 = 0,
+           const char* k1 = nullptr, std::int64_t a1 = 0);
   void counter(const char* cat, const char* name, std::int64_t value);
   void instant(const char* cat, const char* name, const char* k0 = nullptr,
                std::int64_t a0 = 0);
@@ -149,8 +150,9 @@ class recorder {
 };
 
 /// RAII span: records begin on construction and end on destruction when the
-/// recorder is enabled at construction time. Arguments attach to the begin
-/// event.
+/// recorder is enabled at construction time. Constructor arguments attach to
+/// the begin event; set_end_args() attaches totals known only when the span
+/// closes to the end event (the Chrome viewer merges both into the slice).
 class span {
  public:
   span(const char* cat, const char* name, const char* k0 = nullptr, std::int64_t a0 = 0,
@@ -159,15 +161,27 @@ class span {
     if (active_) recorder::instance().begin(cat_, name_, k0, a0, k1, a1);
   }
   ~span() {
-    if (active_) recorder::instance().end(cat_, name_);
+    if (active_) recorder::instance().end(cat_, name_, end_k0_, end_a0_, end_k1_, end_a1_);
   }
   span(const span&) = delete;
   span& operator=(const span&) = delete;
+
+  void set_end_args(const char* k0, std::int64_t a0, const char* k1 = nullptr,
+                    std::int64_t a1 = 0) {
+    end_k0_ = k0;
+    end_a0_ = a0;
+    end_k1_ = k1;
+    end_a1_ = a1;
+  }
 
  private:
   const char* cat_;
   const char* name_;
   bool active_;
+  const char* end_k0_ = nullptr;
+  std::int64_t end_a0_ = 0;
+  const char* end_k1_ = nullptr;
+  std::int64_t end_a1_ = 0;
 };
 
 /// Gated counter sample.

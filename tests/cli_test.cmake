@@ -62,6 +62,34 @@ if(NOT rc STREQUAL "2")
   message(FATAL_ERROR "check --mode=parallel must exit 2 (usage), got ${rc}")
 endif()
 
+# Malformed arguments are usage errors (exit 2) with a message naming the
+# problem: an option where a positional belongs, a value that is not a number
+# in range, an option the command does not know.
+function(expect_usage_error pattern)
+  execute_process(COMMAND ${ODRC_BIN} ${ARGN} WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "2" OR NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "odrc ${ARGN} must exit 2 with '${pattern}', got ${rc}: ${err}")
+  endif()
+endfunction()
+set(bad_gds ${WORK_DIR}/cli_bad.gds)
+expect_usage_error("positional argument, got option '--scale=0.5'" generate uart --scale=0.5)
+if(EXISTS "${WORK_DIR}/--scale=0.5")
+  message(FATAL_ERROR "generate wrote a file named after an option")
+endif()
+expect_usage_error("--scale expects a number > 0, got 'abc'" generate uart ${bad_gds} --scale=abc)
+expect_usage_error("--scale expects a number > 0, got '0'" generate uart ${bad_gds} --scale=0)
+expect_usage_error("--inject expects an integer >= 0, got '-1'"
+                   generate uart ${bad_gds} --inject=-1)
+expect_usage_error("--inject expects an integer >= 0, got '2x'"
+                   generate uart ${bad_gds} --inject=2x)
+if(EXISTS ${bad_gds})
+  message(FATAL_ERROR "generate with a malformed option still wrote a layout")
+endif()
+expect_usage_error("unknown argument '--bogus=1'" check ${gds} ${deck} --bogus=1)
+expect_usage_error("unknown argument '--metrics=1'" check ${gds} ${deck} --metrics=1)
+expect_usage_error("positional argument, got option '--mode=seq'" check ${gds} --mode=seq ${deck})
+
 # A distance whose candidate halo overflows coord_t is a deck error with the
 # line number, not an internal failure.
 file(WRITE ${WORK_DIR}/overflow.deck "rule S spacing layer=19 min=2147483647\n")

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "checks/edge_checks.hpp"
@@ -21,6 +23,7 @@
 #include "db/flatten.hpp"
 #include "engine/engine.hpp"
 #include "engine/plan.hpp"
+#include "infra/trace.hpp"
 
 namespace odrc {
 namespace {
@@ -328,6 +331,167 @@ TEST_P(RandomLayout, DerivedAndColoringMatchWholeLayerOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLayout, ::testing::Range(1, 7));
+
+// A 4x3 translated array of one unit cell plus a reflected-and-rotated and a
+// magnified (mag 2) copy of the array. The unit holds a metal finger (layer
+// 1) with a via (layer 2) half off it, and a three-square odd cycle on layer
+// 1; a separate via cell sits half off the finger's upper end. Each unit is
+// one partition clip of every whole-clip group, and every clip carries
+// violations, so within each copy all clips but one replay a memoized
+// result.
+db::library clip_array_library() {
+  db::library lib;
+  const db::cell_id unit = lib.add_cell("unit");
+  lib.at(unit).add_rect(1, {0, 0, 20, 100});
+  lib.at(unit).add_rect(2, {16, 40, 24, 48});
+  for (const rect& sq : {rect{40, 0, 50, 10}, rect{56, 0, 66, 10}, rect{48, 14, 58, 24}}) {
+    lib.at(unit).add_rect(1, sq);
+  }
+  const db::cell_id via = lib.add_cell("via");
+  lib.at(via).add_rect(2, {0, 0, 8, 8});
+  const db::cell_id array = lib.add_cell("array");
+  for (coord_t i = 0; i < 4; ++i) {
+    for (coord_t j = 0; j < 3; ++j) {
+      const point o{static_cast<coord_t>(i * 200), static_cast<coord_t>(j * 300)};
+      lib.at(array).add_ref({unit, transform{o}});
+      lib.at(array).add_ref(
+          {via, transform{{static_cast<coord_t>(o.x + 16), static_cast<coord_t>(o.y + 70)}}});
+    }
+  }
+  const db::cell_id top = lib.add_cell("top");
+  lib.at(top).add_ref({array, transform{}});
+  lib.at(top).add_ref({array, transform{{0, 3000}, 1, true, 1}});
+  lib.at(top).add_ref({array, transform{{3000, 0}, 0, false, 2}});
+  return lib;
+}
+
+// Overlap, not-cut and coloring rules that every clip of clip_array_library
+// violates, magnified copy included.
+std::vector<rules::rule> clip_array_deck() {
+  return {
+      rules::layer(2).overlap_with(1).area_at_least(200),
+      rules::layer(1).not_cut_by(2).area_at_least(2500),
+      rules::layer(1).two_colorable(13),
+  };
+}
+
+// Every clip memo setting of `cfg` against the whole-layer oracle on
+// clip_array_library: the memo replays 33 of the 36 clips per group (one
+// distinct clip per copy; races may duplicate a computation under
+// host_parallel), and with the memo off it replays none.
+void expect_clip_memo_exact(engine_config cfg) {
+  const db::library lib = clip_array_library();
+  const int m = static_cast<int>(cfg.run_mode);
+  for (const rules::rule& r : clip_array_deck()) {
+    const auto want = norm(oracle_shapes(lib, r));
+    ASSERT_FALSE(want.empty()) << checks::rule_kind_name(r.kind);
+    // The window holds the first unit and cuts the second, a replayed clip:
+    // it keeps the second unit's lower via and drops its upper one.
+    const rect window{-10, -10, 218, 60};
+    for (const bool memo : {true, false}) {
+      cfg.enable_memoization = memo;
+      drc_engine eng(cfg);
+      const engine::check_report rep = eng.check(lib, r);
+      EXPECT_EQ(norm(rep.violations), want) << "memo=" << memo << " mode=" << m;
+      const engine::check_report win = eng.check_region(lib, r, window);
+      EXPECT_EQ(norm(win.violations), norm(in_window(want, window)))
+          << "window memo=" << memo << " mode=" << m;
+      if (!memo) {
+        EXPECT_EQ(rep.prune.clips_reused, 0u);
+        EXPECT_EQ(rep.prune.clips_computed, 36u);
+        EXPECT_EQ(win.prune.clips_reused, 0u);
+      } else if (cfg.host_parallel) {
+        EXPECT_GT(rep.prune.clips_reused, 0u);
+        EXPECT_EQ(rep.prune.clips_reused + rep.prune.clips_computed, 36u);
+      } else {
+        EXPECT_EQ(rep.prune.clips_reused, 33u) << "mode=" << m;
+        EXPECT_EQ(rep.prune.clips_computed, 3u) << "mode=" << m;
+        EXPECT_EQ(win.prune.clips_reused, 1u) << "mode=" << m;
+      }
+      // Whole-clip reuse is not pair reuse.
+      EXPECT_EQ(rep.prune.pairs_reused + rep.prune.pairs_computed, 0u);
+    }
+  }
+}
+
+TEST(ClipMemo, SequentialMatchesOracleAndMemoOff) {
+  expect_clip_memo_exact({.run_mode = engine::mode::sequential});
+}
+
+TEST(ClipMemo, ParallelMatchesOracleAndMemoOff) {
+  expect_clip_memo_exact({.run_mode = engine::mode::parallel});
+}
+
+TEST(HostParallelCfg, ClipMemoMatchesOracleAndMemoOff) {
+  expect_clip_memo_exact({.run_mode = engine::mode::sequential, .host_parallel = true});
+}
+
+// A traced check: only evaluated clips open a pipeline:clip span; the group
+// span closes with the clip totals, and the metrics summary carries the
+// reuse counters.
+TEST(ClipMemo, TraceCountsReplayedClips) {
+  const db::library lib = clip_array_library();
+  drc_engine eng;
+  trace::recorder& rec = trace::recorder::instance();
+  rec.enable();
+  const engine::check_report rep = eng.check(lib, clip_array_deck().front());
+  rec.disable();
+  EXPECT_EQ(rep.prune.clips_reused, 33u);
+
+  const trace::metrics_summary m = rec.metrics();
+  auto span_count = [&](const std::string& key) {
+    for (const trace::span_stats& s : m.spans) {
+      if (s.key == key) return s.count;
+    }
+    return std::size_t{0};
+  };
+  auto counter = [&](const std::string& key) {
+    for (const trace::counter_stats& c : m.counters) {
+      if (c.key == key) return c.last;
+    }
+    return std::int64_t{-1};
+  };
+  EXPECT_EQ(span_count("pipeline:clip"), 3u);
+  EXPECT_EQ(counter("prune:clips_computed"), 3);
+  EXPECT_EQ(counter("prune:clips_reused"), 33);
+  int group_ends = 0;
+  for (const trace::tagged_event& te : rec.snapshot()) {
+    const trace::event& e = te.e;
+    if (e.k != trace::event::kind::end || std::string_view(e.name) != "run_pair_group") continue;
+    ++group_ends;
+    ASSERT_NE(e.arg0_key, nullptr);
+    EXPECT_EQ(std::string_view(e.arg0_key), "clips");
+    EXPECT_EQ(e.arg0, 36);
+    ASSERT_NE(e.arg1_key, nullptr);
+    EXPECT_EQ(std::string_view(e.arg1_key), "reused");
+    EXPECT_EQ(e.arg1, 33);
+  }
+  EXPECT_EQ(group_ends, 1);
+  rec.clear();
+}
+
+// One odd cycle placed twice, 1000 right and 500 up: the second clip replays
+// the first, and its reported conflict pair is the first one translated.
+TEST(ClipMemo, OddCycleAtTranslatedPlacementsReportsTranslatedPairs) {
+  db::library lib;
+  const db::cell_id tri = lib.add_cell("tri");
+  for (const rect& sq : {rect{0, 0, 10, 10}, rect{16, 0, 26, 10}, rect{8, 14, 18, 24}}) {
+    lib.at(tri).add_rect(1, sq);
+  }
+  const db::cell_id top = lib.add_cell("top");
+  const transform shift{{1000, 500}};
+  lib.at(top).add_ref({tri, transform{}});
+  lib.at(top).add_ref({tri, shift});
+  const rules::rule r = rules::layer(1).two_colorable(10);
+
+  drc_engine eng;
+  const engine::check_report rep = eng.check(lib, r);
+  EXPECT_EQ(rep.prune.clips_reused, 1u);
+  const auto got = norm(rep.violations);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1], checks::normalized(engine::transformed(got[0], shift)));
+  EXPECT_EQ(got, norm(oracle_shapes(lib, r)));
+}
 
 }  // namespace
 }  // namespace odrc

@@ -13,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -176,6 +179,52 @@ TEST(SnapshotEquivalence, ConcurrentSharesOneSnapshot) {
     EXPECT_EQ(vs, norm(solo)) << "mode=" << static_cast<int>(m);
     EXPECT_EQ(vs, norm(e.check(lib).violations)) << "mode=" << static_cast<int>(m);
   }
+}
+
+// A frozen backing with no records that counts packed-edge lookups: every
+// packed() build asks it once before packing from the library. The lookup
+// sleeps so that concurrent misses overlap the build.
+class counting_backing : public frozen_backing {
+ public:
+  bool fill_view(db::cell_id, std::int32_t, master_layer_view&) const override { return false; }
+  bool fill_instances(db::cell_id, std::int32_t, instance_set&) const override { return false; }
+  bool fill_packed(db::cell_id, std::int32_t, packed_master_edges&) const override {
+    ++packed_lookups;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return false;
+  }
+  db::mbr_index make_index(const db::library& lib) const override { return db::mbr_index(lib); }
+
+  mutable std::atomic<int> packed_lookups{0};
+};
+
+// check_concurrent tasks share one snapshot, so two groups may miss the same
+// (master, layer) at once: the later callers wait for the first build instead
+// of packing again, and all get the one cached entry.
+TEST(SnapshotPacked, ConcurrentMissesBuildOnce) {
+  db::library lib;
+  const db::cell_id master = lib.add_cell("leaf");
+  lib.at(master).add_rect(layers::M1, {0, 0, 40, 10});
+  lib.at(master).add_rect(layers::M1, {0, 20, 40, 30});
+  const auto backing = std::make_shared<counting_backing>();
+  layout_snapshot snap(lib, backing);
+
+  constexpr int threads = 4;
+  std::atomic<int> ready{0};
+  std::vector<const packed_master_edges*> got(threads, nullptr);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < threads) std::this_thread::yield();
+      got[static_cast<std::size_t>(t)] = &snap.packed(master, layers::M1);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+
+  EXPECT_EQ(backing->packed_lookups.load(), 1);
+  for (const packed_master_edges* p : got) EXPECT_EQ(p, got.front());
+  EXPECT_FALSE(got.front()->edges.empty());
 }
 
 // Row pipelining must be invisible: the parallel branch reports the same

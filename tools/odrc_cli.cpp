@@ -11,13 +11,18 @@
 // violation summary; `generate` emits one of the six synthetic benchmark
 // designs; `deck-template` prints a ready-to-edit ASAP7-like deck.
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/deck_parser.hpp"
@@ -112,6 +117,61 @@ std::vector<std::string> opt_values(int argc, char** argv, const char* name) {
   return out;
 }
 
+// argv[first..] after a command's positionals: every argument must be one of
+// `known`, where "name=" admits "--name=VALUE" and "name" the bare flag
+// "--name". Anything else (a misspelt option, a stray positional) gets a
+// message and false, which the commands turn into a usage error.
+bool options_known(int argc, char** argv, int first,
+                   std::initializer_list<std::string_view> known) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const bool ok =
+        arg.starts_with("--") && std::ranges::any_of(known, [&](std::string_view k) {
+          return k.ends_with('=') ? arg.substr(2).starts_with(k) : arg.substr(2) == k;
+        });
+    if (!ok) {
+      std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
+// argv[first..last) are positionals: none may look like an option, or
+// `generate uart --scale=0.5` would write a file named "--scale=0.5".
+bool positionals_ok(char** argv, int first, int last) {
+  for (int i = first; i < last; ++i) {
+    if (std::string_view(argv[i]).starts_with("--")) {
+      std::fprintf(stderr, "expected a positional argument, got option '%s'\n", argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
+// Whole-string numeric option values; nullopt (after a message) for text
+// that is not a number or lies outside the option's range.
+std::optional<double> parse_scale(const std::string& s) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || *end != '\0' || !std::isfinite(v) || v <= 0) {
+    std::fprintf(stderr, "--scale expects a number > 0, got '%s'\n", s.c_str());
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<int> parse_inject(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (s.empty() || *end != '\0' || errno != 0 || v < 0 || v > INT_MAX) {
+    std::fprintf(stderr, "--inject expects an integer >= 0, got '%s'\n", s.c_str());
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
+
 // "--mode=seq|par" -> execution branch; nullopt (after a message) for any
 // other value, which the commands turn into a usage error.
 std::optional<engine::mode> parse_mode(const std::string& s) {
@@ -136,7 +196,12 @@ std::optional<rect> parse_window(int argc, char** argv) {
 }
 
 int cmd_check(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc < 4 || !positionals_ok(argv, 2, 4) ||
+      !options_known(argc, argv, 4,
+                     {"mode=", "simd=", "window=", "report=", "markers=", "json=", "trace=",
+                      "metrics", "bench-json=", "lef=", "def="})) {
+    return usage();
+  }
   const std::string gds = argv[2];
   const std::string deck_path = argv[3];
   const std::string mode_s = opt_value(argc, argv, "mode", "seq");
@@ -292,14 +357,18 @@ int cmd_check(int argc, char** argv) {
 }
 
 int cmd_generate(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc < 4 || !positionals_ok(argv, 2, 4) ||
+      !options_known(argc, argv, 4, {"scale=", "inject="})) {
+    return usage();
+  }
   const std::string design = argv[2];
   const std::string out = argv[3];
-  const double scale = std::atof(opt_value(argc, argv, "scale", "1.0").c_str());
-  const int inject = std::atoi(opt_value(argc, argv, "inject", "0").c_str());
+  const std::optional<double> scale = parse_scale(opt_value(argc, argv, "scale", "1.0"));
+  const std::optional<int> inject = parse_inject(opt_value(argc, argv, "inject", "0"));
+  if (!scale || !inject) return usage();
 
-  auto spec = workload::spec_for(design, scale > 0 ? scale : 1.0);
-  spec.inject = {inject, inject, inject, inject};
+  auto spec = workload::spec_for(design, *scale);
+  spec.inject = {*inject, *inject, *inject, *inject};
   const auto g = workload::generate(spec);
   gdsii::write(g.lib, out);
   std::printf("wrote %s: %zu cells, %llu flat polygons, %zu injected violation sites\n",
