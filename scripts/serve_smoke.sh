@@ -196,4 +196,10 @@ cli3 shutdown | grep -q "ok shutting down"
 wait $srv_pid
 grep -q "coordinating 2 shard" "$work/coord.log" || { echo "FAIL: coordinator did not run 2 shards"; cat "$work/coord.log"; exit 1; }
 
+# Under a sanitizer build a forked worker's report lands in coord.log
+# without failing any request; no server log may carry one.
+if grep -l "Sanitizer\|runtime error:" "$work"/*.log; then
+  echo "FAIL: sanitizer report in a server log"; cat "$work"/*.log; exit 1
+fi
+
 echo "serve smoke OK"

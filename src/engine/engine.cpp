@@ -86,11 +86,13 @@ deck_report drc_engine::check_deck(std::span<const exec_plan> plans, layout_snap
   trace::span ts("engine", "check_deck_plans", "rules", static_cast<std::int64_t>(plans.size()));
   deck_report out;
   out.per_rule.resize(plans.size());
+  out.scope.resize(plans.size());
   for (const plan_group& g : group_plans(plans)) {
     group_report gr = run_group(cfg_, impl_->streams, snap, plans, g, window);
     out.groups.push_back({g.members, count_group(out.total.deck, gr.shared, g.members.size())});
     for (std::size_t k = 0; k < g.members.size(); ++k) {
       out.per_rule[g.members[k]].merge_from(std::move(gr.per_rule[k]));
+      out.scope[g.members[k]] = gr.scope;
     }
     out.total.merge_from(std::move(gr.shared));
   }
@@ -125,33 +127,6 @@ check_report drc_engine::check_concurrent(const db::library& lib) {
   check_report merged;
   for (check_report& r : reports) merged.merge_from(std::move(r));
   return merged;
-}
-
-std::vector<rect> drc_engine::recheck_windows(const exec_plan& plan, layout_snapshot& snap,
-                                              std::span<const rect> dirty) const {
-  std::vector<rect> out;
-  for (const rect& d : dirty) out.push_back(d.inflated(plan.inflate));
-  if (!plan.whole_clip) return out;
-  // Close each window over the whole-layer partition: join the extent of
-  // every clip the inflated dirty rect overlaps.
-  const std::vector<rect> seeds = out;
-  check_report scratch;
-  for (const db::cell_id top : snap.lib().top_cells()) {
-    std::vector<rect> mbrs;
-    for (const inst& in : collect_instances(snap, top, plan.layer1)) mbrs.push_back(in.mbr);
-    if (plan.two_layer) {
-      for (const inst& in : collect_instances(snap, top, plan.layer2)) mbrs.push_back(in.mbr);
-    }
-    for (const partition::row& row : partition_instances(cfg_, mbrs, plan.inflate, scratch).rows) {
-      for (const partition::clip& c : row.clips) {
-        const rect ext = clip_extent(c, mbrs);
-        for (std::size_t i = 0; i < seeds.size(); ++i) {
-          if (ext.overlaps(seeds[i])) out[i] = out[i].join(ext);
-        }
-      }
-    }
-  }
-  return out;
 }
 
 check_report drc_engine::check(const db::library& lib, const rules::rule& r) {

@@ -154,6 +154,7 @@ struct deck_report {
   check_report total;
   std::vector<check_report> per_rule;  ///< parallel to drc_engine::deck()
   std::vector<group_timing> groups;    ///< plan groups, in execution order
+  std::vector<rect> scope;             ///< windowed runs: each rule's scope (run_group)
 };
 
 /// The DRC engine. Holds configuration and an optional rule deck. Every entry
@@ -190,12 +191,11 @@ class drc_engine {
   /// CLI --window route): run already-compiled `plans` against a
   /// caller-owned snapshot of the library — no recompilation, no snapshot
   /// rebuild. `per_rule` is parallel to `plans`. `window` restricts candidate
-  /// collection to its rule-halo inflation; whole-clip plans (derived-area,
-  /// coloring) partition every object and evaluate each clip whose extent
-  /// overlaps the window, so every derived region and conflict component
-  /// with a violation edge in the window is evaluated whole. The reports are
-  /// NOT filtered to the window (use check_region for the exact region
-  /// semantics).
+  /// collection to its rule-halo inflation; each rule then reports every
+  /// current violation touching its `scope` — the window, or for whole-clip
+  /// plans (derived-area, coloring) the window joined with every partition
+  /// clip extent overlapping it. The reports are NOT filtered to the scope
+  /// (check_region keeps exactly the window).
   deck_report check_deck(std::span<const exec_plan> plans, layout_snapshot& snap,
                          const std::optional<rect>& window = {});
 
@@ -205,18 +205,6 @@ class drc_engine {
   /// The deck/plan-level analogue of the single-rule check_region below.
   deck_report check_region(std::span<const exec_plan> plans, layout_snapshot& snap,
                            const rect& window);
-
-  /// The windows `plan` must purge and recheck after edits whose old ∪ new
-  /// extents are `dirty` (parallel to it) — the incremental scheduler's one
-  /// window rule for every plan class. Each dirty rect grows by the plan's
-  /// interaction distance: every changed pair violation has both edges
-  /// inside. For whole_clip plans it grows further to the extent of every
-  /// partition clip it overlaps: a derived region or conflict component the
-  /// edits changed has a shape within the interaction distance of the dirty
-  /// rect, so its clip — and the region or component before and after the
-  /// edits — lies inside.
-  [[nodiscard]] std::vector<rect> recheck_windows(const exec_plan& plan, layout_snapshot& snap,
-                                                  std::span<const rect> dirty) const;
 
   /// Task parallelism (paper Section I: "different design rules can be
   /// checked concurrently"): run the deck's plan groups as independent tasks

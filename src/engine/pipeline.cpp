@@ -268,6 +268,7 @@ group_report run_intra_group(const engine_config& cfg, stream_pool& streams,
                  static_cast<std::int64_t>(g.members.size()));
   group_report out;
   out.per_rule.resize(g.members.size());
+  if (window) out.scope = *window;
   const std::vector<const exec_plan*> mp = member_plans(plans, g);
   // Parallel mode runs width plans on the device, one kernel per master.
   const bool device = cfg.run_mode == mode::parallel &&
@@ -350,25 +351,43 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
   clip_memo whole_clips;
   std::mutex clip_mu;
 
-  // Whole-clip groups collect every object and window only the clip
-  // evaluation: a derived region or conflict component whose violation edges
-  // touch the window need not have a shape near it (an L-shaped region
-  // wrapping a window corner), but it always lies in a clip whose extent
-  // overlaps the window.
+  // Collect and partition every top cell first: a whole-clip scope joins
+  // clips of every top. Whole-clip groups collect every object: a derived
+  // region or conflict component whose violation edges touch the window need
+  // not have a shape near it (an L-shaped region wrapping a window corner).
+  struct top_objects {
+    std::vector<inst> a_insts, b_insts;
+    std::vector<rect> mbrs;  ///< a_insts' MBRs, then b_insts'
+    partition::partition_result part;
+  };
+  std::vector<top_objects> tops;
   const std::optional<rect> collect_window = g.whole_clip ? std::nullopt : window;
   for (const cell_id top : lib.top_cells()) {
-    const std::vector<inst> a_insts =
-        collect_instances(snap, top, g.layer1, collect_window, g.inflate);
-    std::vector<inst> b_insts;
-    if (g.two_layer) b_insts = collect_instances(snap, top, g.layer2, collect_window, g.inflate);
-    shared.instances += a_insts.size() + b_insts.size();
-    if (a_insts.empty()) continue;
-    const std::size_t ni = a_insts.size();
+    top_objects t;
+    t.a_insts = collect_instances(snap, top, g.layer1, collect_window, g.inflate);
+    if (g.two_layer) t.b_insts = collect_instances(snap, top, g.layer2, collect_window, g.inflate);
+    shared.instances += t.a_insts.size() + t.b_insts.size();
+    if (t.a_insts.empty()) continue;
+    t.mbrs.reserve(t.a_insts.size() + t.b_insts.size());
+    for (const inst& in : t.a_insts) t.mbrs.push_back(in.mbr);
+    for (const inst& in : t.b_insts) t.mbrs.push_back(in.mbr);
+    t.part = partition_instances(cfg, t.mbrs, g.inflate, shared);
+    tops.push_back(std::move(t));
+  }
+  if (window) out.scope = *window;
+  if (window && g.whole_clip) {
+    for (const top_objects& t : tops) {
+      for (const partition::row& row : t.part.rows) {
+        for (const partition::clip& c : row.clips) {
+          const rect ext = clip_extent(c, t.mbrs);
+          if (ext.overlaps(*window)) out.scope = out.scope.join(ext);
+        }
+      }
+    }
+  }
 
-    std::vector<rect> mbrs(ni + b_insts.size());
-    for (std::size_t i = 0; i < ni; ++i) mbrs[i] = a_insts[i].mbr;
-    for (std::size_t j = 0; j < b_insts.size(); ++j) mbrs[ni + j] = b_insts[j].mbr;
-    const partition::partition_result part = partition_instances(cfg, mbrs, g.inflate, shared);
+  for (const auto& [a_insts, b_insts, mbrs, part] : tops) {
+    const std::size_t ni = a_insts.size();
 
     // Containment flags per inner polygon, ORed across candidate pairs; inner
     // object i owns contained[first[i], first[i + 1]). The flags are
@@ -660,7 +679,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     std::vector<const partition::clip*> clips;
     for (const partition::row& row : part.rows) {
       for (const partition::clip& clip : row.clips) {
-        if (g.whole_clip && window && !window->overlaps(clip_extent(clip, mbrs))) continue;
+        if (g.whole_clip && window && !out.scope.overlaps(clip_extent(clip, mbrs))) continue;
         clips.push_back(&clip);
       }
     }

@@ -144,6 +144,7 @@ class stream_pool {
 struct group_report {
   check_report shared;
   std::vector<check_report> per_rule;
+  rect scope;  ///< windowed runs: where it reports every current violation
 
   /// Collapse into a single report (single-rule entry points). Shared phases
   /// appear once; per-rule phases and counters sum.
@@ -163,9 +164,12 @@ struct group_report {
 /// earlier rows run on device streams. Whole-clip groups (derived-area,
 /// coloring) skip the sweep and the device: each clip's shapes go to every
 /// member's check_shapes once, and a clip whose content is a translation of
-/// an evaluated one replays that result (clip_memo, task_prune.hpp); with a
-/// window, they partition every object and evaluate the clips whose extent
-/// overlaps it.
+/// an evaluated one replays that result (clip_memo, task_prune.hpp).
+///
+/// With a window, intra and distance groups examine only objects near it
+/// and their scope is the window. Whole-clip groups partition every object
+/// of every top cell; their scope joins the window with every clip extent
+/// overlapping it, and they evaluate every clip overlapping the scope.
 [[nodiscard]] group_report run_group(const engine_config& cfg, stream_pool& streams,
                                      layout_snapshot& snap, std::span<const exec_plan> plans,
                                      const plan_group& g,

@@ -29,10 +29,10 @@ std::vector<rect> merge_rects(std::vector<rect> rects) {
   return rects;
 }
 
-// Sharded keep predicate: same edge-wise test check_region applies to its
-// window, here against the shard band.
-bool touches_band(const checks::violation& v, const rect& band) {
-  return band.overlaps(v.e1.mbr()) || band.overlaps(v.e2.mbr());
+// The keep predicate, against a scope or the shard band: the same edge-wise
+// test check_region applies to its window.
+bool touches(const checks::violation& v, const rect& r) {
+  return r.overlaps(v.e1.mbr()) || r.overlaps(v.e2.mbr());
 }
 
 }  // namespace
@@ -166,29 +166,42 @@ recheck_result session::recheck(const diff_callback& on_diff) {
     run_full_locked();
     out.full = true;
   } else if (!dirty_.empty()) {
-    const std::vector<rect> merged = merge_rects(dirty_);
-    out.windows = merged.size();
+    // One windowed deck run per dirty region grown by the deck's largest
+    // interaction distance; every violation the edits could have changed
+    // lies inside its rule's scope (see file comment). A sharded store keeps
+    // the band entries of each scope, and a window disjoint from the band
+    // runs only the whole-clip rules: no other scope can reach the band.
+    // Purge every scope BEFORE inserting: a violation touching two
+    // overlapping scopes must not be re-purged after its re-insertion.
+    coord_t grow = 0;
+    std::vector<engine::exec_plan> far_plans;
+    std::vector<std::size_t> far_rules;
     for (std::size_t i = 0; i < plans_.size(); ++i) {
-      const std::string& name = deck_[i].name;
-      const std::span<const engine::exec_plan> one(&plans_[i], 1);
-      // Every violation the edits could have changed lies inside the plan's
-      // recheck windows (see file comment). Sharded exactness: an affected
-      // BAND entry additionally has an edge touching the band, so windows
-      // disjoint from the band cannot change this worker's store and are
-      // skipped whole. Purge everything that could have changed BEFORE
-      // inserting: a violation touching two overlapping windows must not be
-      // re-purged after its re-insertion.
-      std::vector<rect> windows = merge_rects(eng_.recheck_windows(plans_[i], *snap_, merged));
-      if (shard_) {
-        std::erase_if(windows, [&](const rect& w) { return !w.overlaps(shard_->band); });
+      grow = std::max(grow, plans_[i].inflate);
+      if (!plans_[i].whole_clip) continue;
+      far_plans.push_back(plans_[i]);
+      far_rules.push_back(i);
+    }
+    std::vector<rect> windows = merge_rects(dirty_);
+    for (rect& w : windows) w = w.inflated(grow);
+    windows = merge_rects(std::move(windows));
+    out.windows = windows.size();
+    std::vector<std::pair<std::size_t, std::vector<checks::violation>>> found;
+    for (const rect& w : windows) {
+      const bool far = shard_ && !w.overlaps(shard_->band);
+      engine::deck_report dr = eng_.check_deck(far ? far_plans : plans_, *snap_, w);
+      for (std::size_t k = 0; k < dr.per_rule.size(); ++k) {
+        const std::size_t i = far ? far_rules[k] : k;
+        out.purged += db_.erase_touching(deck_[i].name, dr.scope[k]);
+        std::erase_if(dr.per_rule[k].violations, [&](const checks::violation& v) {
+          return !touches(v, dr.scope[k]) || (shard_ && !touches(v, shard_->band));
+        });
+        found.emplace_back(i, std::move(dr.per_rule[k].violations));
       }
-      for (const rect& w : windows) out.purged += db_.erase_touching(name, w);
-      for (const rect& w : windows) {
-        engine::deck_report dr = eng_.check_region(one, *snap_, w);
-        for (const checks::violation& v : dr.per_rule[0].violations) {
-          if (shard_ && !touches_band(v, shard_->band)) continue;
-          if (db_.add_unique(name, v)) ++out.inserted;
-        }
+    }
+    for (const auto& [i, vs] : found) {
+      for (const checks::violation& v : vs) {
+        if (db_.add_unique(deck_[i].name, v)) ++out.inserted;
       }
     }
     dirty_.clear();

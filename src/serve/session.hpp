@@ -5,32 +5,29 @@
 // `layout_snapshot` kept consistent across edits via the invalidation hooks,
 // and the `violation_db` of the last completed check. `recheck()` is the
 // incremental scheduler: it merges the dirty rects accumulated by apply(),
-// maps them to each plan's recheck windows (drc_engine::recheck_windows),
-// purges the stored violations touching each window (edge-wise — the exact
-// complement of check_region's keep predicate) and re-inserts
-// check_region's results with key dedup. Every plan class takes this one
+// grows each by the deck's largest interaction distance into a window, runs
+// the deck once per window (drc_engine::check_deck), purges the stored
+// violations touching each rule's scope (edge-wise) and inserts the run's
+// violations touching it, with key dedup. Every plan class takes this one
 // path. Edits that change the top-cell set (a removed last reference
 // promotes a cell to top) force a full recheck: a whole check context
 // appears or vanishes.
 //
-// Why purge+insert is exact (matches a fresh full check): a violation's key
-// set changes only where geometry changed. Let D be a dirty rect (old ∪ new
-// MBR of the edited geometry mapped through all placements) and W a window
-// of it. It suffices that every violation that changed — before or after
-// the edits — has an edge touching W, and that check_region(W) reports
-// every current violation with an edge touching W. The second is
-// check_region's contract. For the first:
-//   - pair and intra violations: one edge lies in D (a pair violation
-//     involves the edited polygon itself; an enclosure "uncovered inner"
-//     violation's inner lies inside the removed outer's MBR ⊆ D) and the
-//     other within the rule distance of it, so W = D inflated by the plan's
-//     interaction distance covers both;
-//   - derived regions and conflict components: a changed one has a shape in
-//     D or, before the edits, was joined through an edited shape to parts
-//     that now lie within the interaction distance of D. Every such part is
-//     now in a partition clip overlapping D inflated by that distance, and
-//     W grows to the extent of each of those clips, so the whole region or
-//     component lies inside W — its violation edges included.
+// Why purge+insert is exact (matches a fresh full check): let D be a dirty
+// rect (old ∪ new MBR of the edited geometry mapped through all
+// placements), W its window and S a rule's scope in the run over W. The run
+// reports every current violation touching S (run_group's contract), so it
+// suffices that every violation that changed, before or after the edits,
+// lies inside S:
+//   - pair and intra violations: S = W. One edge lies in D (a pair
+//     violation involves the edited polygon itself; an enclosure "uncovered
+//     inner" violation's inner lies inside the removed outer's MBR ⊆ D) and
+//     the other within the rule distance of it;
+//   - derived regions and conflict components: S joins W with the extent of
+//     every partition clip overlapping it. A changed region or component has
+//     a shape in D or, before the edits, was joined through an edited shape
+//     to parts now within the interaction distance of D, hence in a clip
+//     overlapping W.
 #pragma once
 
 #include <functional>
@@ -54,7 +51,7 @@ namespace odrc::serve {
 
 struct recheck_result {
   report::key_diff diff;     ///< vs the key set of the previous check/recheck
-  std::size_t windows = 0;   ///< merged dirty windows driven per plan
+  std::size_t windows = 0;   ///< merged windows, one deck run each
   std::size_t purged = 0;    ///< stored entries removed
   std::size_t inserted = 0;  ///< fresh entries added (after dedup)
   bool full = false;         ///< fell back to a full check
@@ -140,7 +137,7 @@ class session {
   void reload(std::shared_ptr<const engine::frozen_backing> frozen, db::library lib);
 
   /// Adopt a shard assignment. Subsequent check_full() runs check the band
-  /// only; recheck() clips its windows to the band. Forces a full check
+  /// only; recheck() keeps the band entries of each scope. Forces a full check
   /// before the next incremental step (the store changes meaning).
   void set_shard(shard_info s);
 

@@ -89,6 +89,34 @@ endif()
 expect_usage_error("unknown argument '--bogus=1'" check ${gds} ${deck} --bogus=1)
 expect_usage_error("unknown argument '--metrics=1'" check ${gds} ${deck} --metrics=1)
 expect_usage_error("positional argument, got option '--mode=seq'" check ${gds} --mode=seq ${deck})
+expect_usage_error("unknown argument '--bogus=1'" render ${gds} ${WORK_DIR}/cli_bad.svg --bogus=1)
+expect_usage_error("unknown argument '--bogus'" inspect ${gds} --bogus)
+# serve/coord/client reject bad counts before they read a layout, bind a
+# socket or start a thread or process.
+set(no_sock --socket=${WORK_DIR}/never.sock)
+expect_usage_error("--workers expects an integer in 1..256, got 'abc'"
+                   serve ${gds} ${deck} ${no_sock} --workers=abc)
+expect_usage_error("--workers expects an integer in 1..256, got '0'"
+                   serve ${gds} ${deck} ${no_sock} --workers=0)
+expect_usage_error("unknown --simd value 'fast'" serve ${gds} ${deck} ${no_sock} --simd=fast)
+expect_usage_error("unknown argument '--bogus=1'" serve ${gds} ${deck} ${no_sock} --bogus=1)
+expect_usage_error("--shards expects an integer in 1..64, got '0'"
+                   coord ${gds} ${deck} ${no_sock} --shards=0)
+expect_usage_error("--shards expects an integer in 1..64, got '-1'"
+                   coord ${gds} ${deck} ${no_sock} --shards=-1)
+expect_usage_error("--workers expects an integer in 1..256, got 'abc'"
+                   coord ${gds} ${deck} ${no_sock} --workers=abc)
+expect_usage_error("unknown argument '--bogus=1'" coord ${gds} ${deck} ${no_sock} --bogus=1)
+expect_usage_error("--session expects an integer in 0..4294967295, got 'abc'"
+                   client ${no_sock} --session=abc ping)
+expect_usage_error("--count expects an integer >= 0, got '-1'"
+                   client ${no_sock} subscribe --count=-1)
+expect_usage_error("--timeout expects an integer >= -1, got 'abc'"
+                   client ${no_sock} subscribe --timeout=abc)
+expect_usage_error("unknown argument '--bogus=1'" client ${no_sock} --bogus=1 ping)
+if(EXISTS ${WORK_DIR}/cli_bad.svg OR EXISTS ${WORK_DIR}/never.sock)
+  message(FATAL_ERROR "a command rejected as a usage error still wrote a file")
+endif()
 
 # A distance whose candidate halo overflows coord_t is a deck error with the
 # line number, not an internal failure.

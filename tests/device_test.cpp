@@ -1,6 +1,6 @@
 // Tests for the simulated GPGPU substrate: stream ordering, async copies,
-// events, kernel launches, stream-ordered allocation, the scan/reduce
-// primitives, and host/device overlap.
+// events, kernel launches, stream-ordered allocation, and host/device
+// overlap.
 #include "device/device.hpp"
 
 #include <gtest/gtest.h>
@@ -9,8 +9,6 @@
 #include <chrono>
 #include <numeric>
 #include <thread>
-
-#include "device/scan.hpp"
 
 namespace odrc::device {
 namespace {
@@ -209,62 +207,6 @@ TEST(Device, BufferMoveSemantics) {
   EXPECT_TRUE(a.empty());
   a = std::move(b);
   EXPECT_EQ(a.device_ptr(), p);
-}
-
-// ---------------------------------------------------------------------------
-// scan / reduce primitives
-// ---------------------------------------------------------------------------
-
-class ScanSizes : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ScanSizes, ExclusiveScanMatchesStd) {
-  const std::uint32_t n = GetParam();
-  context ctx(3);
-  stream s(ctx);
-  std::vector<std::uint32_t> host(n);
-  for (std::uint32_t i = 0; i < n; ++i) host[i] = (i * 7 + 3) % 11;
-
-  buffer<std::uint32_t> in(n, ctx), out(n, ctx), scratch(scan_scratch_size(n), ctx);
-  in.upload(s, host);
-  exclusive_scan(s, in.device_ptr(), out.device_ptr(), n, scratch.device_ptr());
-  std::vector<std::uint32_t> got(n);
-  out.download(s, got);
-  s.synchronize();
-
-  std::vector<std::uint32_t> expected(n);
-  std::exclusive_scan(host.begin(), host.end(), expected.begin(), 0u);
-  EXPECT_EQ(got, expected);
-}
-
-TEST_P(ScanSizes, ReduceMatchesStd) {
-  const std::uint32_t n = GetParam();
-  context ctx(3);
-  stream s(ctx);
-  std::vector<std::uint32_t> host(n);
-  for (std::uint32_t i = 0; i < n; ++i) host[i] = i % 13;
-
-  buffer<std::uint32_t> in(n, ctx), scratch(scan_scratch_size(n) + 1, ctx), out(1, ctx);
-  in.upload(s, host);
-  reduce_sum(s, in.device_ptr(), n, scratch.device_ptr(), out.device_ptr());
-  std::vector<std::uint32_t> got(1);
-  out.download(s, got);
-  s.synchronize();
-  EXPECT_EQ(got[0], std::accumulate(host.begin(), host.end(), 0u));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ScanSizes,
-                         ::testing::Values(1u, 2u, 255u, 256u, 257u, 1000u, 4096u, 10000u));
-
-TEST(Scan, ZeroLength) {
-  context ctx(2);
-  stream s(ctx);
-  buffer<std::uint32_t> scratch(2, ctx), out(1, ctx);
-  exclusive_scan(s, nullptr, nullptr, 0, scratch.device_ptr());
-  reduce_sum(s, nullptr, 0, scratch.device_ptr(), out.device_ptr());
-  std::vector<std::uint32_t> got(1, 99);
-  out.download(s, got);
-  s.synchronize();
-  EXPECT_EQ(got[0], 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.hpp"
+#include "engine/plan.hpp"
+#include "engine/snapshot.hpp"
 #include "workload/workload.hpp"
 
 namespace odrc::engine {
@@ -100,6 +102,44 @@ TEST_F(RegionCheck, ParallelModeAgrees) {
   const rect w{0, -450, 5000, 2000};
   EXPECT_EQ(norm(seq.check_region(gen_.lib, r, w).violations),
             norm(par.check_region(gen_.lib, r, w).violations));
+}
+
+// A windowed deck run reports each rule's scope: the window for intra and
+// distance rules; for a whole-clip rule the window joined with exactly the
+// extents of the partition clips it overlaps.
+TEST(RegionScope, WholeClipScopeJoinsOverlappingClipExtents) {
+  constexpr db::layer_t M1 = layers::M1;
+  constexpr db::layer_t V1 = layers::V1;
+  db::library lib("scope");
+  const db::cell_id top = lib.add_cell("top");
+  // Nine M1 bars, so the single-use top splits into per-polygon objects.
+  // Derived-area clips (inflate 0): {A + via}, {B} and {C} apart, plus a
+  // far row of six.
+  lib.at(top).add_rect(M1, {0, 0, 400, 30});        // A
+  lib.at(top).add_rect(V1, {10, 27, 30, 47});       // 60 < 64 on A, far from w
+  lib.at(top).add_rect(M1, {1000, 0, 1400, 30});    // B
+  lib.at(top).add_rect(M1, {0, 1000, 400, 1030});   // C
+  for (int k = 0; k < 6; ++k) {
+    lib.at(top).add_rect(M1, {3000 + 600 * k, 5000, 3400 + 600 * k, 5030});
+  }
+  const std::vector<exec_plan> plans = {
+      compile_plan(rules::layer(M1).width().greater_than(18).named("W")),
+      compile_plan(rules::layer(M1).spacing().greater_than(25).named("S")),
+      compile_plan(rules::layer(V1).overlap_with(M1).area_at_least(64).named("OV")),
+  };
+  ASSERT_TRUE(plans[2].whole_clip);
+  layout_snapshot snap(lib);
+  drc_engine e;
+  const rect w{350, 10, 1100, 20};  // overlaps A and B, not C
+  const deck_report dr = e.check_deck(plans, snap, w);
+  ASSERT_EQ(dr.scope.size(), plans.size());
+  EXPECT_EQ(dr.scope[0], w);
+  EXPECT_EQ(dr.scope[1], w);
+  EXPECT_EQ(dr.scope[2], (rect{0, 0, 1400, 47}));
+  // The run evaluates A's clip whole, so it finds the via outside w; the
+  // exact-window check_region drops it.
+  EXPECT_EQ(dr.per_rule[2].violations.size(), 1u);
+  EXPECT_TRUE(e.check_region(plans, snap, w).per_rule[2].violations.empty());
 }
 
 }  // namespace

@@ -369,6 +369,65 @@ TEST(ServeRecheck, DerivedAndColoringMatchFreshCheck) {
   EXPECT_EQ(incremental, 3 * scripts.size());
 }
 
+// Two top cells share the plane but are checked apart. An edit on T1 sits
+// in the corner of T1's L-shaped not-cut region, so the rule's scope grows
+// to the L's extent and reaches T2's speck, whose clip misses the edit
+// window. The speck's stored entry touches the scope, so the run must
+// evaluate T2's clip too, or the purge loses it.
+TEST(ServeRecheck, ClosureAcrossTopCellsMatchesFreshCheck) {
+  auto make = [] {
+    db::library lib("two_tops");
+    const db::cell_id t1 = lib.add_cell("T1");
+    lib.at(t1).add_rect(M1, {0, 0, 800, 30});      // the L: 35100 < 50000
+    lib.at(t1).add_rect(M1, {770, 30, 800, 400});
+    const db::cell_id t2 = lib.add_cell("T2");
+    lib.at(t2).add_rect(M1, {600, 300, 610, 310});  // a speck inside the L's box
+    return lib;
+  };
+  const std::vector<rules::rule> deck = {
+      rules::layer(M1).not_cut_by(V1).area_at_least(50000).named("M1.NC"),
+      rules::layer(M1).spacing().greater_than(25).named("M1.S"),
+  };
+  const std::vector<std::string> scripts = {
+      "add_poly T1 19 -20 0 0 30\n",       // grows the L at its far corner
+      "add_poly T2 19 650 300 660 340\n",  // a second T2 speck, away from T1's edit
+      "move_poly T1 19 2 -5 0\n",
+      "remove_poly T1 19 2\n",
+  };
+  // Bands split between the edit window and T2's specks.
+  const rect lo{-1000000, -1000000, 1000000, 150};
+  const rect hi{-1000000, 151, 1000000, 1000000};
+  session inc(make(), deck);
+  session shard0(make(), deck), shard1(make(), deck);
+  shard0.set_shard({lo, 0, 2});
+  shard1.set_shard({hi, 1, 2});
+  for (session* s : {&inc, &shard0, &shard1}) s->check_full();
+  db::library fresh = make();
+  for (const std::string& sc : scripts) {
+    {
+      engine::layout_snapshot snap(fresh);
+      (void)apply_edits(fresh, snap, ops(sc));
+    }
+    engine::drc_engine e;
+    e.add_rules(deck);
+    const engine::deck_report dr = e.check_deck(fresh);
+    report::violation_db db;
+    for (std::size_t i = 0; i < deck.size(); ++i) db.add(deck[i].name, dr.per_rule[i].violations);
+    const std::vector<std::string> want = db.keys();
+    for (session* s : {&inc, &shard0, &shard1}) {
+      s->apply(ops(sc));
+      EXPECT_FALSE(s->recheck().full);
+    }
+    ASSERT_EQ(inc.keys(), want) << "after script:\n" << sc;
+    std::vector<std::string> both = shard0.keys();
+    const std::vector<std::string> k1 = shard1.keys();
+    both.insert(both.end(), k1.begin(), k1.end());
+    std::sort(both.begin(), both.end());
+    both.erase(std::unique(both.begin(), both.end()), both.end());
+    ASSERT_EQ(both, want) << "bands, after script:\n" << sc;
+  }
+}
+
 TEST(ServeIncremental, DiffAccountsForEveryKeyChange) {
   session s(make_lib(), make_deck());
   s.check_full();

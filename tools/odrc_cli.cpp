@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,7 +73,8 @@ int usage() {
                "  odrc snapshot build <layout.gds> <out.snap>\n"
                "  odrc snapshot info <file.snap>\n"
                "  odrc serve <layout.gds> <rules.deck> --socket=PATH|--listen=EP [--workers=N]\n"
-               "             [--mode=seq|par] [--trace=out_trace.json] [--snapshot=PATH]\n"
+               "             [--mode=seq|par] [--simd=auto|off|avx2] [--trace=out_trace.json]\n"
+               "             [--snapshot=PATH]\n"
                "  odrc coord <layout.gds> <rules.deck> --socket=PATH|--listen=EP --shards=N\n"
                "             [--worker=EP ...] [--tcp] [--workers=N] [--mode=seq|par]\n"
                "             [--snapshot=PATH] (spawns N workers unless --worker given)\n"
@@ -117,22 +119,25 @@ std::vector<std::string> opt_values(int argc, char** argv, const char* name) {
   return out;
 }
 
-// argv[first..] after a command's positionals: every argument must be one of
-// `known`, where "name=" admits "--name=VALUE" and "name" the bare flag
-// "--name". Anything else (a misspelt option, a stray positional) gets a
-// message and false, which the commands turn into a usage error.
+// One argument against `known`, where "name=" admits "--name=VALUE" and
+// "name" the bare flag "--name". Anything else (a misspelt option, a stray
+// positional) gets a message and false, which the commands turn into a
+// usage error.
+bool option_known(const char* arg, std::initializer_list<std::string_view> known) {
+  const std::string_view a = arg;
+  const bool ok = a.starts_with("--") && std::ranges::any_of(known, [&](std::string_view k) {
+                    return k.ends_with('=') ? a.substr(2).starts_with(k) : a.substr(2) == k;
+                  });
+  if (!ok) std::fprintf(stderr, "unknown argument '%s'\n", arg);
+  return ok;
+}
+
+// argv[first..] after a command's positionals: every argument must be an
+// option in `known` (option_known).
 bool options_known(int argc, char** argv, int first,
                    std::initializer_list<std::string_view> known) {
   for (int i = first; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const bool ok =
-        arg.starts_with("--") && std::ranges::any_of(known, [&](std::string_view k) {
-          return k.ends_with('=') ? arg.substr(2).starts_with(k) : arg.substr(2) == k;
-        });
-    if (!ok) {
-      std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
-      return false;
-    }
+    if (!option_known(argv[i], known)) return false;
   }
   return true;
 }
@@ -161,15 +166,26 @@ std::optional<double> parse_scale(const std::string& s) {
   return v;
 }
 
-std::optional<int> parse_inject(const std::string& s) {
+// Upper bounds for thread and process counts: a typo must not start
+// thousands of threads or worker processes.
+constexpr long max_workers = 256;
+constexpr long max_shards = 64;
+
+// "--name=VALUE" as an integer in [lo, hi].
+std::optional<long> parse_int(const char* name, const std::string& s, long lo, long hi) {
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || *end != '\0' || errno != 0 || v < 0 || v > INT_MAX) {
-    std::fprintf(stderr, "--inject expects an integer >= 0, got '%s'\n", s.c_str());
+  if (s.empty() || *end != '\0' || errno != 0 || v < lo || v > hi) {
+    if (hi == INT_MAX) {
+      std::fprintf(stderr, "--%s expects an integer >= %ld, got '%s'\n", name, lo, s.c_str());
+    } else {
+      std::fprintf(stderr, "--%s expects an integer in %ld..%ld, got '%s'\n", name, lo, hi,
+                   s.c_str());
+    }
     return std::nullopt;
   }
-  return static_cast<int>(v);
+  return v;
 }
 
 // "--mode=seq|par" -> execution branch; nullopt (after a message) for any
@@ -179,6 +195,14 @@ std::optional<engine::mode> parse_mode(const std::string& s) {
   if (s == "par") return engine::mode::parallel;
   std::fprintf(stderr, "unknown --mode value '%s' (want seq|par)\n", s.c_str());
   return std::nullopt;
+}
+
+// "--simd=auto|off|avx2" -> dispatch policy; nullopt (after a message)
+// otherwise.
+std::optional<simd::mode> parse_simd(const std::string& s) {
+  const std::optional<simd::mode> m = simd::parse_mode(s.c_str());
+  if (!m) std::fprintf(stderr, "unknown --simd value '%s' (want auto|off|avx2)\n", s.c_str());
+  return m;
 }
 
 // "--window=x1,y1,x2,y2" -> rect; nullopt when absent, throws on malformed.
@@ -226,13 +250,9 @@ int cmd_check(int argc, char** argv) {
 
   engine_config cfg;
   cfg.run_mode = *run_mode;
-  const std::string simd_s = opt_value(argc, argv, "simd", "auto");
-  if (auto m = simd::parse_mode(simd_s.c_str())) {
-    cfg.simd = *m;
-  } else {
-    std::fprintf(stderr, "unknown --simd value '%s' (want auto|off|avx2)\n", simd_s.c_str());
-    return usage();
-  }
+  const std::optional<simd::mode> simd_mode = parse_simd(opt_value(argc, argv, "simd", "auto"));
+  if (!simd_mode) return usage();
+  cfg.simd = *simd_mode;
   drc_engine eng(cfg);
   eng.add_rules(deck);
 
@@ -364,11 +384,13 @@ int cmd_generate(int argc, char** argv) {
   const std::string design = argv[2];
   const std::string out = argv[3];
   const std::optional<double> scale = parse_scale(opt_value(argc, argv, "scale", "1.0"));
-  const std::optional<int> inject = parse_inject(opt_value(argc, argv, "inject", "0"));
+  const std::optional<long> inject = parse_int("inject", opt_value(argc, argv, "inject", "0"), 0,
+                                              INT_MAX);
   if (!scale || !inject) return usage();
 
   auto spec = workload::spec_for(design, *scale);
-  spec.inject = {*inject, *inject, *inject, *inject};
+  const int n = static_cast<int>(*inject);
+  spec.inject = {n, n, n, n};
   const auto g = workload::generate(spec);
   gdsii::write(g.lib, out);
   std::printf("wrote %s: %zu cells, %llu flat polygons, %zu injected violation sites\n",
@@ -378,7 +400,9 @@ int cmd_generate(int argc, char** argv) {
 }
 
 int cmd_inspect(int argc, char** argv) {
-  if (argc < 3) return usage();
+  if (argc < 3 || !positionals_ok(argv, 2, 3) || !options_known(argc, argv, 3, {})) {
+    return usage();
+  }
   const db::library lib = gdsii::read(argv[2]);
   std::printf("library '%s': %zu cells, depth %zu, %llu flat polygons\n", lib.name().c_str(),
               lib.cell_count(), lib.hierarchy_depth(),
@@ -390,7 +414,9 @@ int cmd_inspect(int argc, char** argv) {
 }
 
 int cmd_render(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc < 4 || !positionals_ok(argv, 2, 4) || !options_known(argc, argv, 4, {"deck="})) {
+    return usage();
+  }
   const db::library lib = gdsii::read(argv[2]);
   const std::string deck_path = opt_value(argc, argv, "deck", "");
   std::vector<checks::violation> violations;
@@ -406,7 +432,9 @@ int cmd_render(int argc, char** argv) {
 }
 
 int cmd_diff(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc < 4 || !positionals_ok(argv, 2, 4) || !options_known(argc, argv, 4, {})) {
+    return usage();
+  }
   std::ifstream a(argv[2]), b(argv[3]);
   if (!a || !b) {
     std::fprintf(stderr, "cannot open report files\n");
@@ -428,7 +456,9 @@ int cmd_snapshot(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string sub = argv[2];
   if (sub == "build") {
-    if (argc < 5) return usage();
+    if (argc < 5 || !positionals_ok(argv, 3, 5) || !options_known(argc, argv, 5, {})) {
+      return usage();
+    }
     const db::library lib = gdsii::read(argv[3]);
     const engine::snapshot_build_stats st = engine::build_snapshot_file(lib, argv[4]);
     std::printf(
@@ -441,7 +471,9 @@ int cmd_snapshot(int argc, char** argv) {
     return 0;
   }
   if (sub == "info") {
-    if (argc < 4) return usage();
+    if (argc < 4 || !positionals_ok(argv, 3, 4) || !options_known(argc, argv, 4, {})) {
+      return usage();
+    }
     const auto fs = engine::frozen_snapshot::load(argv[3]);
     std::fputs(fs->info_text().c_str(), stdout);
     return 0;
@@ -451,7 +483,12 @@ int cmd_snapshot(int argc, char** argv) {
 }
 
 int cmd_serve(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc < 4 || !positionals_ok(argv, 2, 4) ||
+      !options_known(argc, argv, 4,
+                     {"socket=", "listen=", "workers=", "mode=", "simd=", "trace=",
+                      "snapshot="})) {
+    return usage();
+  }
   const std::string gds = argv[2];
   const std::string deck_path = argv[3];
   const std::string socket_path = opt_value(argc, argv, "socket", "");
@@ -461,13 +498,16 @@ int cmd_serve(int argc, char** argv) {
     return 2;
   }
   const std::optional<engine::mode> run_mode = parse_mode(opt_value(argc, argv, "mode", "par"));
-  if (!run_mode) return usage();
+  const std::optional<long> workers =
+      parse_int("workers", opt_value(argc, argv, "workers", "2"), 1, max_workers);
+  const std::optional<simd::mode> simd_mode = parse_simd(opt_value(argc, argv, "simd", "auto"));
+  if (!run_mode || !workers || !simd_mode) return usage();
   const std::string trace_path = opt_value(argc, argv, "trace", "");
   if (!trace_path.empty()) trace::recorder::instance().enable();
 
   engine_config cfg;
   cfg.run_mode = *run_mode;
-  if (auto m = simd::parse_mode(opt_value(argc, argv, "simd", "auto").c_str())) cfg.simd = *m;
+  cfg.simd = *simd_mode;
   serve::session_manager sessions;
   {
     auto deck = rules::parse_deck_file(deck_path);
@@ -494,8 +534,7 @@ int cmd_serve(int argc, char** argv) {
   serve::server_config scfg;
   scfg.socket_path = socket_path;
   scfg.endpoint = listen_ep;
-  scfg.workers = static_cast<std::size_t>(
-      std::max(1, std::atoi(opt_value(argc, argv, "workers", "2").c_str())));
+  scfg.workers = static_cast<std::size_t>(*workers);
   scfg.engine = cfg;
   serve::server srv(scfg, sessions);
   srv.start();
@@ -565,7 +604,12 @@ bool await_worker(const std::string& ep, int timeout_ms) {
 }
 
 int cmd_coord(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc < 4 || !positionals_ok(argv, 2, 4) ||
+      !options_known(argc, argv, 4,
+                     {"socket=", "listen=", "tcp", "shards=", "worker=", "workers=", "mode=",
+                      "snapshot="})) {
+    return usage();
+  }
   const std::string gds = argv[2];
   const std::string deck_path = argv[3];
   const std::string socket_path = opt_value(argc, argv, "socket", "");
@@ -577,14 +621,16 @@ int cmd_coord(int argc, char** argv) {
   }
   const std::string snap_path = opt_value(argc, argv, "snapshot", "");
   const std::string mode_s = opt_value(argc, argv, "mode", "par");
-  if (!parse_mode(mode_s)) return usage();
   const std::string workers_s = opt_value(argc, argv, "workers", "2");
+  const std::optional<long> shards_n =
+      parse_int("shards", opt_value(argc, argv, "shards", "2"), 1, max_shards);
+  if (!parse_mode(mode_s) || !parse_int("workers", workers_s, 1, max_workers) || !shards_n) {
+    return usage();
+  }
 
   std::vector<std::string> worker_eps = opt_values(argc, argv, "worker");
-  std::size_t shards = worker_eps.empty()
-                           ? static_cast<std::size_t>(
-                                 std::max(1, std::atoi(opt_value(argc, argv, "shards", "2").c_str())))
-                           : worker_eps.size();
+  const std::size_t shards =
+      worker_eps.empty() ? static_cast<std::size_t>(*shards_n) : worker_eps.size();
 
   // Plan the bands over the layout the workers will load.
   const db::library lib = snap_path.empty()
@@ -670,15 +716,23 @@ int cmd_client(int argc, char** argv) {
     std::fprintf(stderr, "odrc client: --socket=PATH is required\n");
     return 2;
   }
-  const auto session =
-      static_cast<std::uint32_t>(std::atoi(opt_value(argc, argv, "session", "0").c_str()));
-
-  // First non-flag argument after "client" is the verb; the rest are its args.
+  // First non-option argument after "client" is the verb; the rest are its
+  // args. Options may appear anywhere.
   std::vector<std::string> pos;
   for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) pos.emplace_back(argv[i]);
+    if (!std::string_view(argv[i]).starts_with("--")) {
+      pos.emplace_back(argv[i]);
+    } else if (!option_known(argv[i], {"socket=", "session=", "count=", "timeout="})) {
+      return usage();
+    }
   }
-  if (pos.empty()) return usage();
+  const std::optional<long> session =
+      parse_int("session", opt_value(argc, argv, "session", "0"), 0, UINT32_MAX);
+  const std::optional<long> count = parse_int("count", opt_value(argc, argv, "count", "0"), 0,
+                                              INT_MAX);
+  const std::optional<long> timeout_ms =
+      parse_int("timeout", opt_value(argc, argv, "timeout", "-1"), -1, INT_MAX);
+  if (pos.empty() || !session || !count || !timeout_ms) return usage();
   const std::string& verb = pos[0];
 
   if (verb == "subscribe") {
@@ -687,23 +741,22 @@ int cmd_client(int argc, char** argv) {
     // --timeout per-frame wait expires, or the server goes away.
     std::string window;
     if (pos.size() >= 5) window = pos[1] + " " + pos[2] + " " + pos[3] + " " + pos[4];
-    const int count = std::atoi(opt_value(argc, argv, "count", "0").c_str());
-    const int timeout_ms = std::atoi(opt_value(argc, argv, "timeout", "-1").c_str());
     serve::client cl;
     cl.connect(socket_path);
-    const serve::frame resp = cl.request(serve::msg_type::subscribe, session, window);
+    const serve::frame resp =
+        cl.request(serve::msg_type::subscribe, static_cast<std::uint32_t>(*session), window);
     std::printf("%s\n", resp.payload.c_str());
     std::fflush(stdout);
     if (!serve::client::ok(resp)) return 1;
     int seen = 0;
-    while (count <= 0 || seen < count) {
-      const std::optional<serve::frame> pf = cl.wait_push(timeout_ms);
+    while (*count == 0 || seen < *count) {
+      const std::optional<serve::frame> pf = cl.wait_push(static_cast<int>(*timeout_ms));
       if (!pf) break;  // timeout or connection closed
       std::printf("%s\n", pf->payload.c_str());
       std::fflush(stdout);
       ++seen;
     }
-    return (count > 0 && seen < count) ? 1 : 0;
+    return (*count > 0 && seen < *count) ? 1 : 0;
   }
 
   serve::msg_type type;
@@ -784,7 +837,7 @@ int cmd_client(int argc, char** argv) {
 
   serve::client cl;
   cl.connect(socket_path);
-  const serve::frame resp = cl.request(type, session, payload);
+  const serve::frame resp = cl.request(type, static_cast<std::uint32_t>(*session), payload);
   std::printf("%s\n", resp.payload.c_str());
   return serve::client::ok(resp) ? 0 : 1;
 }
