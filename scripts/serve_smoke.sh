@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Serve smoke: boot `odrc serve` on a generated design, drive the whole verb
 # set through `odrc client`, and require the incremental path (recheck with
-# full=0) plus per-request spans in the --trace output. A V1 via moved half
-# off its M1 finger must recheck incrementally to exactly the key set of a
-# fresh check (the derived-area rule V1.M1.OV included). A final phase boots
+# full=0) plus per-request spans in the --trace output. An M2-only edit must
+# rerun fewer plans than the deck has rules. A V1 via moved half off its M1
+# finger must recheck incrementally to exactly the key set of a fresh check
+# (the derived-area rule V1.M1.OV included). A final phase boots
 # an `odrc coord` fleet and requires the scatter-gathered check to match the
 # single-process total, and the same via edit to recheck exactly on the fleet.
 #
@@ -45,6 +46,20 @@ grep -q "full 0" <<<"$recheck_out" || { echo "FAIL: recheck was not incremental"
 grep -Eq "new [1-9]" <<<"$recheck_out" || { echo "FAIL: edit introduced no violations"; exit 1; }
 
 cli diff | head -1 | grep -q "^ok fixed 0 new"
+
+# An M2-only edit reruns only the rules that read M2: its recheck must stay
+# incremental and report fewer plan runs than the deck has rules. The via
+# recheck below compares the whole store, this edit included, with a fresh
+# check.
+printf 'add_poly %s 20 920000 920000 920010 920010\n' "$top" > "$work/m2.txt"
+cli edit "$work/m2.txt" | grep -q "^ok applied 1"
+m2_out=$(cli recheck)
+echo "$m2_out"
+grep -q "full 0" <<<"$m2_out" || { echo "FAIL: M2 recheck was not incremental"; exit 1; }
+deck_rules=$(grep -c '^rule ' "$work/rules.deck")
+m2_plans=$(sed -n 's/.* plans \([0-9]*\).*/\1/p' <<<"$m2_out")
+[[ -n "$m2_plans" && "$m2_plans" -lt "$deck_rules" ]] \
+  || { echo "FAIL: M2 recheck ran ${m2_plans:-?} plans, deck has $deck_rules rules"; exit 1; }
 
 # Move the first V1 via of INVx1 (a master: every placement changes) half off
 # its 18 nm M1 finger: the overlap drops to 32 < 64 and V1.M1.EN.1 fires too.

@@ -360,12 +360,25 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     std::vector<rect> mbrs;  ///< a_insts' MBRs, then b_insts'
     partition::partition_result part;
   };
+  // Distance groups collect around the window's reach: the window joined
+  // with every object overlapping it. A violation touching the window has
+  // an edge on such an object, and its partner lies within the interaction
+  // distance of that object, not necessarily of the window (a long edge
+  // crosses the window far from where it violates).
   std::vector<top_objects> tops;
-  const std::optional<rect> collect_window = g.whole_clip ? std::nullopt : window;
   for (const cell_id top : lib.top_cells()) {
+    std::optional<rect> reach;
+    const auto reach_over = [&](layer_t l) {
+      for (const inst& in : collect_instances(snap, top, l, window, 0)) reach = reach->join(in.mbr);
+    };
+    if (window && !g.whole_clip) {
+      reach = *window;
+      reach_over(g.layer1);
+      if (g.two_layer) reach_over(g.layer2);
+    }
     top_objects t;
-    t.a_insts = collect_instances(snap, top, g.layer1, collect_window, g.inflate);
-    if (g.two_layer) t.b_insts = collect_instances(snap, top, g.layer2, collect_window, g.inflate);
+    t.a_insts = collect_instances(snap, top, g.layer1, reach, g.inflate);
+    if (g.two_layer) t.b_insts = collect_instances(snap, top, g.layer2, reach, g.inflate);
     shared.instances += t.a_insts.size() + t.b_insts.size();
     if (t.a_insts.empty()) continue;
     t.mbrs.reserve(t.a_insts.size() + t.b_insts.size());

@@ -68,6 +68,15 @@ struct exec_plan {
   bool whole_clip = false;
   sweep::pair_check device_kind = sweep::pair_check::spacing;
 
+  /// True iff this plan's check objects include shapes on `layer`: every
+  /// layer for an any_layer plan (SHAPES), else layer1 or layer2 (the outer
+  /// layer of an enclosure, the second operand of a derived-area rule). An
+  /// edit confined to layers a plan does not read cannot change its
+  /// violations.
+  [[nodiscard]] bool reads(db::layer_t layer) const {
+    return layer1 == rules::any_layer || layer1 == layer || layer2 == layer;
+  }
+
   /// Device kernel configuration for this plan's edge predicate.
   [[nodiscard]] sweep::device_check_config device_config(sweep::sweep_axis axis) const;
 

@@ -316,7 +316,7 @@ std::string coordinator::do_recheck(const frame& f) {
       scatter(msg_type::recheck, f.header.session, "keys", true);
 
   std::vector<std::string> fixed, introduced;
-  std::uint64_t windows = 0, purged = 0, inserted = 0;
+  std::uint64_t windows = 0, plans = 0, purged = 0, inserted = 0;
   bool full = false;
   std::string first_error, reply;
   {
@@ -329,6 +329,7 @@ std::string coordinator::do_recheck(const frame& f) {
       const std::uint64_t bit = 1ull << i;
       const std::string status = first_line(legs[i].payload);
       windows += status_field(status, "windows");
+      plans += status_field(status, "plans");
       purged += status_field(status, "purged");
       inserted += status_field(status, "inserted");
       full = full || status_field(status, "full") != 0;
@@ -363,7 +364,7 @@ std::string coordinator::do_recheck(const frame& f) {
     std::sort(last_diff_.unchanged.begin(), last_diff_.unchanged.end());
     std::ostringstream tail;
     tail << " windows " << windows << " purged " << purged << " inserted " << inserted
-         << " full " << (full ? 1 : 0);
+         << " full " << (full ? 1 : 0) << " plans " << plans;
     reply = diff_reply(last_diff_, tail.str(), want_keys);
   }
   if (!first_error.empty()) return "error " + first_error;

@@ -1,5 +1,7 @@
 #include "serve/edits.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -89,15 +91,28 @@ void cover_rec(const db::library& lib, cell_id cur, cell_id target, const transf
   }
 }
 
-// Map a dirty rect from `frame` coordinates to every top's coordinates.
+// Map a dirty rect from `frame` coordinates to every top's coordinates;
+// each image carries `layers`.
 void map_to_tops(const db::library& lib, cell_id frame, const rect& local,
-                 std::vector<rect>& out) {
-  if (local.empty()) return;
+                 const std::vector<db::layer_t>& layers, std::vector<dirty_rect>& out) {
+  if (local.empty() || layers.empty()) return;
   const std::vector<char> reaches = reach_set(lib, frame);
+  std::vector<rect> boxes;
   for (const cell_id top : lib.top_cells()) {
     if (!reaches[top]) continue;
-    cover_rec(lib, top, frame, transform{}, local, reaches, out);
+    cover_rec(lib, top, frame, transform{}, local, reaches, boxes);
   }
+  for (const rect& b : boxes) out.push_back({b, layers});
+}
+
+// Every layer with content in `child`'s subtree: the layers that placing,
+// moving or removing one reference to `child` changes.
+std::vector<db::layer_t> subtree_layers(const db::mbr_index& index, cell_id child) {
+  std::vector<db::layer_t> out;
+  for (const db::layer_t l : index.layers()) {
+    if (index.cell_has_layer(child, l)) out.push_back(l);
+  }
+  return out;
 }
 
 // Absolute polygon index of the `n`-th polygon of `cell` on `layer`.
@@ -127,6 +142,37 @@ cell_id resolve_cell(const db::library& lib, const std::string& name, const std:
 }
 
 }  // namespace
+
+std::vector<dirty_rect> merge_rects(std::vector<dirty_rect> rects) {
+  // `out` stays pairwise disjoint. Each incoming rect absorbs every output
+  // rect it overlaps; a join can reach rects the pass already went by, so
+  // it rescans until a pass absorbs nothing. Every absorption removes an
+  // output rect, so there are at most 2n passes in all.
+  std::vector<dirty_rect> out;
+  out.reserve(rects.size());
+  std::vector<db::layer_t> merged;
+  for (dirty_rect& r : rects) {
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (std::size_t i = 0; i < out.size();) {
+        if (!out[i].box.overlaps(r.box)) {
+          ++i;
+          continue;
+        }
+        r.box = r.box.join(out[i].box);
+        merged.clear();
+        std::set_union(r.layers.begin(), r.layers.end(), out[i].layers.begin(),
+                       out[i].layers.end(), std::back_inserter(merged));
+        r.layers.swap(merged);
+        out[i] = std::move(out.back());
+        out.pop_back();
+        grew = true;
+      }
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
 
 std::vector<transform> placements_of(const db::library& lib, db::cell_id top,
                                      db::cell_id target) {
@@ -202,6 +248,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
     const cell_id id = resolve_cell(lib, op.cell, where);
     db::cell& c = lib.at(id);
     rect local;  // dirty rect in the edited/parent cell's frame
+    std::vector<db::layer_t> layers{op.layer};  // *_inst ops: the child's subtree
 
     switch (op.kind) {
       case edit_op::op_kind::add_poly: {
@@ -245,6 +292,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         r.trans.rotation = op.rotation;
         r.trans.reflect_x = op.reflect;
         local = r.trans.apply(snap.index().cell_mbr(child));
+        layers = subtree_layers(snap.index(), child);
         c.add_ref(r);
         res.instances_changed = true;
         snap.invalidate_master(id);
@@ -257,6 +305,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         }
         const db::cell_ref r = c.refs()[op.index];
         local = r.trans.apply(snap.index().cell_mbr(r.target));
+        layers = subtree_layers(snap.index(), r.target);
         c.remove_ref(op.index);
         res.instances_changed = true;
         snap.invalidate_master(id);
@@ -273,13 +322,14 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         r.trans.offset.x = static_cast<coord_t>(r.trans.offset.x + op.delta.x);
         r.trans.offset.y = static_cast<coord_t>(r.trans.offset.y + op.delta.y);
         local = old_img.join(r.trans.apply(child_mbr));
+        layers = subtree_layers(snap.index(), r.target);
         res.instances_changed = true;
         snap.invalidate_master(id);
         break;
       }
     }
 
-    map_to_tops(lib, id, local, res.dirty);
+    map_to_tops(lib, id, local, layers, res.dirty);
     ++res.applied;
   }
   if (res.instances_changed) snap.invalidate_instances();

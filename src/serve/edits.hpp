@@ -17,8 +17,11 @@
 // top-coordinate dirty rects covering old ∪ new extents of every edit,
 // mapped through EVERY placement of the edited cell (arrays covered by the
 // corner-instance join — array steps are pure translations, so the four
-// corner images bound the union). The incremental scheduler (session.hpp)
-// expands these rects by each rule's halo and rechecks only there.
+// corner images bound the union). Each dirty rect carries the layers its
+// edit touched: a *_poly op touches its own layer, a *_inst op every layer
+// with content in the referenced child's subtree. The incremental scheduler
+// (session.hpp) expands these rects by each rule's halo and reruns there
+// only the rules that read a touched layer.
 #pragma once
 
 #include <span>
@@ -58,8 +61,20 @@ struct edit_op {
 /// malformed input; a parse failure applies nothing.
 [[nodiscard]] std::vector<edit_op> parse_edit_script(const std::string& text);
 
+/// A top-coordinate covering rect and the layers (sorted, unique) that the
+/// edits behind it touched. No violation of a rule that reads none of these
+/// layers can change inside `box`.
+struct dirty_rect {
+  rect box;
+  std::vector<db::layer_t> layers;
+};
+
+/// Join overlapping dirty rects until no two overlap, unioning the layer
+/// sets of joined rects. O(n^2) overlap tests for n rects.
+[[nodiscard]] std::vector<dirty_rect> merge_rects(std::vector<dirty_rect> rects);
+
 struct edit_result {
-  std::vector<rect> dirty;  ///< top-coordinate covering rects, unmerged
+  std::vector<dirty_rect> dirty;  ///< top-coordinate covering rects, unmerged
   std::size_t applied = 0;
   bool instances_changed = false;  ///< placements or layer emptiness changed
   /// The set of top cells changed (a removed last reference promotes a cell

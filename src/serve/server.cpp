@@ -472,7 +472,7 @@ std::string server::dispatch(const frame& f) {
           s->recheck([&](const report::key_diff& d) { subs_.publish(sid, d); });
       std::ostringstream tail;
       tail << " windows " << r.windows << " purged " << r.purged << " inserted " << r.inserted
-           << " full " << (r.full ? 1 : 0);
+           << " full " << (r.full ? 1 : 0) << " plans " << r.plans;
       return diff_reply(r.diff, tail.str(), want_keys);
     }
     case msg_type::diff: return diff_reply(need_session()->last_diff(), "", true);

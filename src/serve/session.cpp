@@ -10,25 +10,6 @@ namespace odrc::serve {
 
 namespace {
 
-// Iteratively join overlapping rects: the scheduler drives one window per
-// disjoint dirty region instead of one per edit.
-std::vector<rect> merge_rects(std::vector<rect> rects) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < rects.size() && !changed; ++i) {
-      for (std::size_t j = i + 1; j < rects.size(); ++j) {
-        if (!rects[i].overlaps(rects[j])) continue;
-        rects[i] = rects[i].join(rects[j]);
-        rects.erase(rects.begin() + static_cast<std::ptrdiff_t>(j));
-        changed = true;
-        break;
-      }
-    }
-  }
-  return rects;
-}
-
 // The keep predicate, against a scope or the shard band: the same edge-wise
 // test check_region applies to its window.
 bool touches(const checks::violation& v, const rect& r) {
@@ -166,32 +147,45 @@ recheck_result session::recheck(const diff_callback& on_diff) {
     run_full_locked();
     out.full = true;
   } else if (!dirty_.empty()) {
-    // One windowed deck run per dirty region grown by the deck's largest
-    // interaction distance; every violation the edits could have changed
-    // lies inside its rule's scope (see file comment). A sharded store keeps
-    // the band entries of each scope, and a window disjoint from the band
-    // runs only the whole-clip rules: no other scope can reach the band.
+    // One windowed deck run per merged dirty region, over the plans that
+    // read a layer its edits touched, the region grown by the largest
+    // interaction distance among them; every violation the edits could have
+    // changed lies inside its rule's scope (see file comment). A skipped
+    // plan neither purges nor inserts. A sharded store keeps the band
+    // entries of each scope, and a window disjoint from the band runs only
+    // its whole-clip rules: no other scope can reach the band.
     // Purge every scope BEFORE inserting: a violation touching two
     // overlapping scopes must not be re-purged after its re-insertion.
-    coord_t grow = 0;
-    std::vector<engine::exec_plan> far_plans;
-    std::vector<std::size_t> far_rules;
-    for (std::size_t i = 0; i < plans_.size(); ++i) {
-      grow = std::max(grow, plans_[i].inflate);
-      if (!plans_[i].whole_clip) continue;
-      far_plans.push_back(plans_[i]);
-      far_rules.push_back(i);
+    const auto reads_any = [](const engine::exec_plan& p, const std::vector<db::layer_t>& ls) {
+      return std::any_of(ls.begin(), ls.end(), [&](db::layer_t l) { return p.reads(l); });
+    };
+    std::vector<dirty_rect> windows = merge_rects(std::move(dirty_));
+    for (dirty_rect& w : windows) {
+      coord_t grow = 0;
+      for (const engine::exec_plan& p : plans_) {
+        if (reads_any(p, w.layers)) grow = std::max(grow, p.inflate);
+      }
+      w.box = w.box.inflated(grow);
     }
-    std::vector<rect> windows = merge_rects(dirty_);
-    for (rect& w : windows) w = w.inflated(grow);
     windows = merge_rects(std::move(windows));
-    out.windows = windows.size();
     std::vector<std::pair<std::size_t, std::vector<checks::violation>>> found;
-    for (const rect& w : windows) {
-      const bool far = shard_ && !w.overlaps(shard_->band);
-      engine::deck_report dr = eng_.check_deck(far ? far_plans : plans_, *snap_, w);
+    std::vector<engine::exec_plan> run_plans;
+    std::vector<std::size_t> run_rules;
+    for (const dirty_rect& w : windows) {
+      const bool far = shard_ && !w.box.overlaps(shard_->band);
+      run_plans.clear();
+      run_rules.clear();
+      for (std::size_t i = 0; i < plans_.size(); ++i) {
+        if ((far && !plans_[i].whole_clip) || !reads_any(plans_[i], w.layers)) continue;
+        run_plans.push_back(plans_[i]);
+        run_rules.push_back(i);
+      }
+      if (run_plans.empty()) continue;
+      ++out.windows;
+      out.plans += run_plans.size();
+      engine::deck_report dr = eng_.check_deck(run_plans, *snap_, w.box);
       for (std::size_t k = 0; k < dr.per_rule.size(); ++k) {
-        const std::size_t i = far ? far_rules[k] : k;
+        const std::size_t i = run_rules[k];
         out.purged += db_.erase_touching(deck_[i].name, dr.scope[k]);
         std::erase_if(dr.per_rule[k].violations, [&](const checks::violation& v) {
           return !touches(v, dr.scope[k]) || (shard_ && !touches(v, shard_->band));
@@ -215,6 +209,8 @@ recheck_result session::recheck(const diff_callback& on_diff) {
   stats_.violations = db_.size();
   stats_.pending_dirty = 0;
   stats_.last_recheck_seconds = out.seconds;
+  ts.set_end_args("windows", static_cast<std::int64_t>(out.windows), "plans",
+                  static_cast<std::int64_t>(out.plans));
   trace::counter("serve", "recheck_purged", static_cast<std::int64_t>(out.purged));
   trace::counter("serve", "recheck_inserted", static_cast<std::int64_t>(out.inserted));
   if (on_diff) on_diff(last_diff_);

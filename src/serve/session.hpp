@@ -4,21 +4,28 @@
 // requests: the mutable `db::library`, the deck's compiled `exec_plan`s, a
 // `layout_snapshot` kept consistent across edits via the invalidation hooks,
 // and the `violation_db` of the last completed check. `recheck()` is the
-// incremental scheduler: it merges the dirty rects accumulated by apply(),
-// grows each by the deck's largest interaction distance into a window, runs
-// the deck once per window (drc_engine::check_deck), purges the stored
-// violations touching each rule's scope (edge-wise) and inserts the run's
-// violations touching it, with key dedup. Every plan class takes this one
-// path. Edits that change the top-cell set (a removed last reference
-// promotes a cell to top) force a full recheck: a whole check context
-// appears or vanishes.
+// incremental scheduler: it merges the dirty rects accumulated by apply()
+// (unioning the layers their edits touched), grows each into a window by
+// the largest interaction distance among the plans that read one of its
+// layers, runs those plans once per window (drc_engine::check_deck), purges
+// the stored violations touching each run rule's scope (edge-wise) and
+// inserts the run's violations touching it, with key dedup. Every plan
+// class takes this one path. Edits that change the top-cell set (a removed
+// last reference promotes a cell to top) force a full recheck: a whole
+// check context appears or vanishes.
 //
 // Why purge+insert is exact (matches a fresh full check): let D be a dirty
 // rect (old ∪ new MBR of the edited geometry mapped through all
 // placements), W its window and S a rule's scope in the run over W. The run
 // reports every current violation touching S (run_group's contract), so it
 // suffices that every violation that changed, before or after the edits,
-// lies inside S:
+// lies inside S of a run of its rule:
+//   - a plan that reads none of W's layers has no changed violation from
+//     the edits behind W: its check objects are shapes on the layers it
+//     reads, and those edits changed no such shape (an instance edit
+//     touches every layer of the child's subtree). It is not run over W;
+//     a change it does see comes from a dirty rect carrying a layer it
+//     reads, whose window runs it, grown by at least its own distance;
 //   - pair and intra violations: S = W. One edge lies in D (a pair
 //     violation involves the edited polygon itself; an enclosure "uncovered
 //     inner" violation's inner lies inside the removed outer's MBR ⊆ D) and
@@ -51,7 +58,8 @@ namespace odrc::serve {
 
 struct recheck_result {
   report::key_diff diff;     ///< vs the key set of the previous check/recheck
-  std::size_t windows = 0;   ///< merged windows, one deck run each
+  std::size_t windows = 0;   ///< merged windows that ran a plan, one deck run each
+  std::size_t plans = 0;     ///< plan runs summed over windows
   std::size_t purged = 0;    ///< stored entries removed
   std::size_t inserted = 0;  ///< fresh entries added (after dedup)
   bool full = false;         ///< fell back to a full check
@@ -179,7 +187,7 @@ class session {
   report::violation_db db_;
   std::vector<std::string> last_keys_;
   report::key_diff last_diff_;
-  std::vector<rect> dirty_;
+  std::vector<dirty_rect> dirty_;
   std::optional<shard_info> shard_;
   bool checked_ = false;
   bool full_required_ = false;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/plan.hpp"
 #include "workload/workload.hpp"
 
 namespace odrc::engine {
@@ -285,6 +286,36 @@ TEST(Engine, EmptyLayerProducesNothing) {
   EXPECT_TRUE(e.run_spacing(f.lib, 42, 18).violations.empty());
   EXPECT_TRUE(e.run_width(f.lib, 42, 18).violations.empty());
   EXPECT_TRUE(e.run_enclosure(f.lib, 42, 43, 5).violations.empty());
+}
+
+// reads() decides which plans an edit's recheck reruns: it must cover every
+// layer a plan takes check objects from, or a recheck misses a change.
+TEST(PlanReads, EveryRuleKind) {
+  constexpr db::layer_t M1 = 19, M2 = 20, V1 = 21, OTHER = 30;
+  const auto reads = [](const rules::rule& r) {
+    const exec_plan p = compile_plan(r);
+    std::vector<db::layer_t> out;
+    for (const db::layer_t l : {M1, M2, V1, OTHER}) {
+      if (p.reads(l)) out.push_back(l);
+    }
+    return out;
+  };
+  using ls = std::vector<db::layer_t>;
+  EXPECT_EQ(reads(rules::layer(M1).width().greater_than(18)), ls{M1});
+  EXPECT_EQ(reads(rules::layer(M1).area().greater_than(800)), ls{M1});
+  EXPECT_EQ(reads(rules::layer(M2).polygons().is_rectilinear()), ls{M2});
+  EXPECT_EQ(reads(rules::polygons().is_rectilinear()), (ls{M1, M2, V1, OTHER}));
+  const auto named = [](const db::polygon_elem& p) { return !p.name.empty(); };
+  EXPECT_EQ(reads(rules::layer(V1).polygons().ensures(named)), ls{V1});
+  EXPECT_EQ(reads(rules::polygons().ensures(named)), (ls{M1, M2, V1, OTHER}));
+  EXPECT_EQ(reads(rules::layer(M2).spacing().greater_than(25)), ls{M2});
+  // Enclosure reads its inner (layer1) and its outer (layer2) layer.
+  EXPECT_EQ(reads(rules::layer(V1).enclosed_by(M1).greater_than(4)), (ls{M1, V1}));
+  EXPECT_EQ(reads(rules::layer(M1).enclosed_by(M2).greater_than(4)), (ls{M1, M2}));
+  // Derived layers read both operands, coloring its one layer.
+  EXPECT_EQ(reads(rules::layer(V1).overlap_with(M2).area_at_least(400)), (ls{M2, V1}));
+  EXPECT_EQ(reads(rules::layer(M1).not_cut_by(V1).area_at_least(400)), (ls{M1, V1}));
+  EXPECT_EQ(reads(rules::layer(M2).two_colorable(40)), ls{M2});
 }
 
 }  // namespace

@@ -54,6 +54,29 @@ TEST_F(RegionCheck, SpacingMatchesFilteredFullCheck) {
   }
 }
 
+// A window on a long wire's edge, far from where the wire violates spacing
+// with a shape of another object: the violation touches the window, its
+// partner lies beyond the window's interaction halo.
+TEST(RegionCheckReach, LongEdgeFindsFarPartner) {
+  db::library lib("reach");
+  const db::cell_id wire = lib.add_cell("wire");
+  lib.at(wire).add_rect(layers::M1, {0, 0, 1000, 30});
+  lib.at(wire).add_rect(layers::V1, {100, 5, 120, 25});
+  const db::cell_id top = lib.add_cell("top");
+  lib.at(top).add_ref({wire, transform{}});
+  lib.at(top).add_rect(layers::M1, {990, 40, 1010, 100});  // 10 above the wire's end
+  lib.at(top).add_rect(layers::M1, {-200, -10, -20, 20});  // 20 left of the wire
+  const rect w{400, 20, 420, 40};                             // the wire's top edge only
+  drc_engine e;
+  for (const rules::rule& r :
+       {rules::layer(layers::M1).spacing().greater_than(25),
+        rules::layer(layers::V1).enclosed_by(layers::M1).greater_than(15)}) {
+    const auto full = e.check(lib, r).violations;
+    ASSERT_FALSE(filtered(full, w).empty());
+    EXPECT_EQ(norm(e.check_region(lib, r, w).violations), norm(filtered(full, w)));
+  }
+}
+
 TEST_F(RegionCheck, ExaminesFewerObjects) {
   drc_engine e;
   const rules::rule r = rules::layer(layers::M1).spacing().greater_than(tech::wire_space);

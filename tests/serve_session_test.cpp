@@ -146,11 +146,91 @@ TEST(ServeSession, ArrayMasterEditDirtiesEveryInstance) {
       apply_edits(lib, snap, ops("move_poly unit 19 0 0 7000"));
   ASSERT_FALSE(er.dirty.empty());
   rect all;
-  for (const rect& d : er.dirty) all = all.join(d);
+  for (const dirty_rect& d : er.dirty) all = all.join(d.box);
   // Array spans x in [0, 400*3+200], y in [4000, 4000+300*2+90].
   EXPECT_LE(all.x_min, 0);
   EXPECT_GE(all.x_max, 1400);
   EXPECT_GE(all.y_max, 4690);
+}
+
+// Every dirty rect of `er` carries exactly `want`.
+void expect_layers(const edit_result& er, const std::vector<db::layer_t>& want) {
+  ASSERT_FALSE(er.dirty.empty());
+  for (const dirty_rect& d : er.dirty) EXPECT_EQ(d.layers, want);
+}
+
+TEST(ServeSession, InstanceEditDirtiesSubtreeLayers) {
+  db::library lib = make_lib();
+  engine::layout_snapshot snap(lib);
+  using ls = std::vector<db::layer_t>;
+  // A polygon op touches its own layer; `unit` holds M1 and V1, `blk` M1
+  // and M2.
+  expect_layers(apply_edits(lib, snap, ops("add_poly top 20 0 0 10 10")), ls{M2});
+  expect_layers(apply_edits(lib, snap, ops("move_inst top 0 5 0")), ls{M1, V1});
+  // Nesting blk in unit touches blk's layers at every unit placement...
+  expect_layers(apply_edits(lib, snap, ops("add_inst unit blk 200 100")), ls{M1, M2});
+  // ...after which unit's subtree carries M2 too, though unit itself does not.
+  expect_layers(apply_edits(lib, snap, ops("move_inst top 1 5 0")), ls{M1, M2, V1});
+  expect_layers(apply_edits(lib, snap, ops("remove_inst top 0")), ls{M1, M2, V1});
+}
+
+TEST(ServeSession, MergeRectsClosesOverJoins) {
+  // C overlaps neither A nor B, only their join; D stays apart.
+  const dirty_rect a{{0, 0, 10, 10}, {M1}}, b{{10, 10, 20, 20}, {M2}};
+  const dirty_rect c{{15, 0, 20, 5}, {V1}}, d{{500, 500, 510, 510}, {M1}};
+  ASSERT_FALSE(c.box.overlaps(a.box) || c.box.overlaps(b.box));
+  const std::vector<dirty_rect> m = merge_rects({c, d, a, b});
+  ASSERT_EQ(m.size(), 2u);
+  const auto joined = std::find_if(m.begin(), m.end(), [](const dirty_rect& r) {
+    return r.box == rect{0, 0, 20, 20};
+  });
+  ASSERT_NE(joined, m.end());
+  EXPECT_EQ(joined->layers, (std::vector<db::layer_t>{M1, M2, V1}));
+}
+
+TEST(ServeSession, MergeRectsUnionsLayerSets) {
+  const std::vector<dirty_rect> m = merge_rects({{{0, 0, 10, 10}, {M2, V1}},
+                                                 {{5, 5, 15, 15}, {M1, M2}},
+                                                 {{100, 0, 110, 10}, {V1}}});
+  ASSERT_EQ(m.size(), 2u);
+  for (const dirty_rect& r : m) {
+    EXPECT_EQ(r.layers, r.box.x_min == 0 ? (std::vector<db::layer_t>{M1, M2, V1})
+                                         : std::vector<db::layer_t>{V1});
+  }
+}
+
+// 2,000 scattered rects: the result is pairwise disjoint, covers every input
+// with a superset of its layers, and a shuffled chain of 2,000 rects, each
+// overlapping only its neighbours, collapses into one.
+TEST(ServeSession, MergeRectsScatteredRun) {
+  std::mt19937 rng(0xD1127);
+  std::vector<dirty_rect> in;
+  for (int i = 0; i < 2000; ++i) {
+    const coord_t x = static_cast<coord_t>(rng() % 200000), y = static_cast<coord_t>(rng() % 200000);
+    const coord_t w = static_cast<coord_t>(1 + rng() % 3000), h = static_cast<coord_t>(1 + rng() % 3000);
+    in.push_back({{x, y, x + w, y + h}, {static_cast<db::layer_t>(19 + rng() % 3)}});
+  }
+  const std::vector<dirty_rect> m = merge_rects(in);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    for (std::size_t j = i + 1; j < m.size(); ++j) ASSERT_FALSE(m[i].box.overlaps(m[j].box));
+  }
+  for (const dirty_rect& r : in) {
+    const auto it = std::find_if(m.begin(), m.end(),
+                                 [&](const dirty_rect& o) { return o.box.contains(r.box); });
+    ASSERT_NE(it, m.end());
+    EXPECT_TRUE(std::includes(it->layers.begin(), it->layers.end(), r.layers.begin(),
+                              r.layers.end()));
+  }
+
+  std::vector<dirty_rect> chain;
+  for (coord_t i = 0; i < 2000; ++i) {
+    chain.push_back({{10 * i, 10 * i, 10 * i + 10, 10 * i + 10}, {static_cast<db::layer_t>(i % 7)}});
+  }
+  std::shuffle(chain.begin(), chain.end(), rng);
+  const std::vector<dirty_rect> one = merge_rects(std::move(chain));
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].box, (rect{0, 0, 20000, 20000}));
+  EXPECT_EQ(one[0].layers, (std::vector<db::layer_t>{0, 1, 2, 3, 4, 5, 6}));
 }
 
 TEST(ServeSession, PlacementsOfCoversArrayInstances) {
@@ -367,6 +447,101 @@ TEST(ServeRecheck, DerivedAndColoringMatchFreshCheck) {
     ASSERT_EQ(both, want) << "bands, after script:\n" << sc;
   }
   EXPECT_EQ(incremental, 3 * scripts.size());
+}
+
+// Layer-aware rechecks: edits on every layer, one that no rule reads
+// included, and instance moves whose child carries a nested subtree (blk
+// inside unit), single-process and as two band sessions. After every round
+// the stores equal a fresh check, and edits confined to some layers rerun
+// fewer plans than the deck has.
+TEST(ServeRecheck, LayerSkipMatchesFreshCheck) {
+  constexpr db::layer_t UNREAD = 30;
+  const std::vector<rect> bands = engine::plan_shards(make_lib(), 2);
+  ASSERT_EQ(bands.size(), 2u);
+  const int seam = bands[0].y_max;
+  for (const std::vector<rules::rule>& deck : {make_deck(), derived_deck()}) {
+    session inc(make_lib(), deck);
+    session shard0(make_lib(), deck), shard1(make_lib(), deck);
+    shard0.set_shard({bands[0], 0, 2});
+    shard1.set_shard({bands[1], 1, 2});
+    for (session* s : {&inc, &shard0, &shard1}) s->check_full();
+
+    // Nest blk in unit, then one edit on an unread layer and one on M2 only.
+    std::vector<std::string> scripts = {"add_inst unit blk 200 100\n",
+                                        "add_poly top 30 100 100 140 140\n",
+                                        "add_poly top 20 540 300 560 340\n"};
+    std::map<std::pair<std::string, int>, int> npolys{
+        {{"unit", M1}, 2}, {{"unit", V1}, 1}, {{"unit", UNREAD}, 0}, {{"blk", M2}, 1},
+        {{"top", M1}, 4},  {{"top", M2}, 2},  {{"top", V1}, 1},      {{"top", UNREAD}, 1}};
+    std::vector<std::pair<std::string, int>> slots;
+    for (const auto& [slot, n] : npolys) slots.push_back(slot);
+    std::mt19937 rng(0x1A7E5);
+    for (int round = 0; round < 24; ++round) {
+      std::ostringstream script;
+      for (int k = 0; k < 2; ++k) {
+        const auto& [cell, layer] = slots[rng() % slots.size()];
+        // Near the nested blk and top's M2 line, or across the band seam.
+        const int x = static_cast<int>(rng() % 1600);
+        const int y = (rng() % 2 ? 0 : seam - 400) + static_cast<int>(rng() % 1600);
+        switch (rng() % 5) {
+          case 0: {
+            const int w = 10 + static_cast<int>(rng() % 200);
+            const int h = 10 + static_cast<int>(rng() % 200);
+            script << "add_poly " << cell << ' ' << layer << ' ' << x << ' ' << y << ' '
+                   << (x + w) << ' ' << (y + h) << '\n';
+            ++npolys[{cell, layer}];
+            break;
+          }
+          case 1: {
+            const int n = npolys[{cell, layer}];
+            if (n == 0) break;
+            script << "move_poly " << cell << ' ' << layer << ' ' << (rng() % n) << ' '
+                   << static_cast<int>(rng() % 80) - 40 << ' '
+                   << static_cast<int>(rng() % 80) - 40 << '\n';
+            break;
+          }
+          case 2: {
+            auto& n = npolys[{cell, layer}];
+            if (n <= 1) break;
+            script << "remove_poly " << cell << ' ' << layer << ' ' << (rng() % n) << '\n';
+            --n;
+            break;
+          }
+          case 3:  // a unit placement, nested blk included
+            script << "move_inst top " << (rng() % 2) << ' ' << static_cast<int>(rng() % 60) - 30
+                   << ' ' << static_cast<int>(rng() % 60) - 30 << '\n';
+            break;
+          case 4:  // blk inside the unit master: every unit placement moves it
+            script << "move_inst unit 0 " << static_cast<int>(rng() % 60) - 30 << ' '
+                   << static_cast<int>(rng() % 60) - 30 << '\n';
+            break;
+        }
+      }
+      if (!ops(script.str()).empty()) scripts.push_back(script.str());
+    }
+
+    std::vector<std::string> applied;
+    std::size_t incremental = 0, fewer = 0;
+    for (const std::string& sc : scripts) {
+      applied.push_back(sc);
+      const std::vector<std::string> want = fresh_keys(applied, deck);
+      for (session* s : {&inc, &shard0, &shard1}) {
+        s->apply(ops(sc));
+        const recheck_result r = s->recheck();
+        if (!r.full) ++incremental;
+        if (s == &inc && r.plans < deck.size()) ++fewer;
+      }
+      ASSERT_EQ(inc.keys(), want) << "after script:\n" << sc;
+      std::vector<std::string> both = shard0.keys();
+      const std::vector<std::string> k1 = shard1.keys();
+      both.insert(both.end(), k1.begin(), k1.end());
+      std::sort(both.begin(), both.end());
+      both.erase(std::unique(both.begin(), both.end()), both.end());
+      ASSERT_EQ(both, want) << "bands, after script:\n" << sc;
+    }
+    EXPECT_EQ(incremental, 3 * scripts.size());
+    EXPECT_GE(fewer, 2u);
+  }
 }
 
 // Two top cells share the plane but are checked apart. An edit on T1 sits
