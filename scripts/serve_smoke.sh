@@ -7,6 +7,9 @@
 # (the derived-area rule V1.M1.OV included). A final phase boots
 # an `odrc coord` fleet and requires the scatter-gathered check to match the
 # single-process total, and the same via edit to recheck exactly on the fleet.
+# Before it, an array phase moves an M1 finger of FILLERx1 on a small aes
+# (filler runs and the cell block are AREFs) and requires a per-placement
+# incremental recheck that matches a fresh check.
 #
 # Usage: scripts/serve_smoke.sh <build-dir>
 set -euo pipefail
@@ -175,6 +178,41 @@ grep -q '"snapshot_boot"' "$work/trace2.json" || { echo "FAIL: no snapshot_boot 
 grep -q '"cold_build"' "$work/trace2.json" && { echo "FAIL: snapshot boot still ran a cold build"; exit 1; }
 grep -q '"hot_swap"' "$work/trace2.json" || { echo "FAIL: no hot_swap span in trace"; exit 1; }
 grep -q '"mapped_bytes"' "$work/trace2.json" || { echo "FAIL: no mapped_bytes counter in trace"; exit 1; }
+
+# ---------------------------------------------------------------------------
+# Array-master phase (DESIGN.md §8): on a small aes, whose standard cells sit
+# in an AREF'd block and whose filler runs are AREFs, move an M1 finger of
+# FILLERx1. The recheck must stay incremental, run one dirty rect per
+# placement (windows > 1), and leave exactly a fresh check's key set.
+# ---------------------------------------------------------------------------
+sock_arr="$work/odrc_arr.sock"
+"$odrc" generate aes "$work/aes.gds" --scale=0.3 --inject=2 > /dev/null
+"$odrc" serve "$work/aes.gds" "$work/rules.deck" --socket="$sock_arr" --workers=2 \
+  > "$work/serve_arr.log" 2>&1 &
+srv_pid=$!
+for _ in $(seq 1 100); do
+  [[ -S "$sock_arr" ]] && break
+  kill -0 $srv_pid 2>/dev/null || { echo "array server died:"; cat "$work/serve_arr.log"; exit 1; }
+  sleep 0.1
+done
+[[ -S "$sock_arr" ]] || { echo "array socket never appeared"; cat "$work/serve_arr.log"; exit 1; }
+cli_arr() { "$odrc" client --socket="$sock_arr" "$@"; }
+cli_arr check | head -1 | grep -q "^ok total"
+printf 'move_poly FILLERx1 19 0 4 0\n' > "$work/master.txt"
+cli_arr edit "$work/master.txt" | grep -q "^ok applied 1"
+arr_out=$(cli_arr recheck)
+echo "$arr_out"
+grep -q "full 0" <<<"$arr_out" || { echo "FAIL: array master recheck was not incremental"; exit 1; }
+arr_windows=$(sed -n 's/.* windows \([0-9]*\).*/\1/p' <<<"$arr_out")
+[[ -n "$arr_windows" && "$arr_windows" -gt 1 ]] \
+  || { echo "FAIL: array master recheck ran ${arr_windows:-?} windows, want one per placement"; exit 1; }
+# shellcheck disable=SC2086
+cli_arr query $die keys | grep '^v ' | sort > "$work/stored_arr.txt"
+cli_arr check keys | grep '^v ' | sort > "$work/fresh_arr.txt"
+diff -q "$work/stored_arr.txt" "$work/fresh_arr.txt" > /dev/null \
+  || { echo "FAIL: stored keys after the array master recheck != fresh check"; diff "$work/stored_arr.txt" "$work/fresh_arr.txt" | head; exit 1; }
+cli_arr shutdown | grep -q "ok shutting down"
+wait $srv_pid
 
 # ---------------------------------------------------------------------------
 # Cluster phase (DESIGN.md §10): `odrc coord` spawns a band-sharded worker

@@ -82,8 +82,10 @@ deck_report drc_engine::check_deck(const db::library& lib) {
 }
 
 deck_report drc_engine::check_deck(std::span<const exec_plan> plans, layout_snapshot& snap,
-                                   const std::optional<rect>& window) {
-  trace::span ts("engine", "check_deck_plans", "rules", static_cast<std::int64_t>(plans.size()));
+                                   const std::optional<geo::region>& window) {
+  trace::span ts("engine", "check_deck_plans", "rules", static_cast<std::int64_t>(plans.size()),
+                 window ? "rects" : nullptr,
+                 window ? static_cast<std::int64_t>(window->rects().size()) : 0);
   deck_report out;
   out.per_rule.resize(plans.size());
   out.scope.resize(plans.size());
@@ -102,7 +104,7 @@ deck_report drc_engine::check_deck(std::span<const exec_plan> plans, layout_snap
 
 deck_report drc_engine::check_region(std::span<const exec_plan> plans, layout_snapshot& snap,
                                      const rect& window) {
-  deck_report out = check_deck(plans, snap, window);
+  deck_report out = check_deck(plans, snap, geo::region(window));
   keep_in_window(out.total.violations, window);
   for (check_report& r : out.per_rule) keep_in_window(r.violations, window);
   return out;

@@ -42,6 +42,7 @@
 #include "db/layout.hpp"
 #include "engine/rule.hpp"
 #include "engine/task_prune.hpp"
+#include "geo/region.hpp"
 #include "infra/simd.hpp"
 #include "infra/timer.hpp"
 #include "partition/row_partition.hpp"
@@ -154,7 +155,7 @@ struct deck_report {
   check_report total;
   std::vector<check_report> per_rule;  ///< parallel to drc_engine::deck()
   std::vector<group_timing> groups;    ///< plan groups, in execution order
-  std::vector<rect> scope;             ///< windowed runs: each rule's scope (run_group)
+  std::vector<geo::region> scope;      ///< windowed runs: each rule's scope (run_group)
 };
 
 /// The DRC engine. Holds configuration and an optional rule deck. Every entry
@@ -190,14 +191,15 @@ class drc_engine {
   /// Plan-level variant for warm-path callers (odrc::serve sessions, the
   /// CLI --window route): run already-compiled `plans` against a
   /// caller-owned snapshot of the library — no recompilation, no snapshot
-  /// rebuild. `per_rule` is parallel to `plans`. `window` restricts candidate
-  /// collection to its rule-halo inflation; each rule then reports every
-  /// current violation touching its `scope` — the window, or for whole-clip
-  /// plans (derived-area, coloring) the window joined with every partition
-  /// clip extent overlapping it. The reports are NOT filtered to the scope
-  /// (check_region keeps exactly the window).
+  /// rebuild. `per_rule` is parallel to `plans`. `window` (a region: one or
+  /// more rects) restricts candidate collection to objects near its rects;
+  /// each rule then reports every current violation touching its `scope` —
+  /// the window, or for whole-clip plans (derived-area, coloring) the window
+  /// plus every partition clip extent overlapping one of its rects. The
+  /// reports are NOT filtered to the scope (check_region keeps exactly the
+  /// window).
   deck_report check_deck(std::span<const exec_plan> plans, layout_snapshot& snap,
-                         const std::optional<rect>& window = {});
+                         const std::optional<geo::region>& window = {});
 
   /// Region-of-interest over precompiled plans: exactly the violations with
   /// at least one offending edge intersecting `window`, examining only

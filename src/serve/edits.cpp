@@ -1,7 +1,5 @@
 #include "serve/edits.hpp"
 
-#include <algorithm>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -57,52 +55,18 @@ void placements_rec(const db::library& lib, cell_id cur, cell_id target, const t
   }
 }
 
-// Covering images of `local` (a rect in `target` coordinates) under every
-// placement of `target` below `cur`. Arrays are covered by the join of the
-// four corner-instance images: instances of one array differ by pure
-// translations, and rotations are quantized to 90° multiples, so the
-// bounding box of the corner images bounds the union of all instances.
-void cover_rec(const db::library& lib, cell_id cur, cell_id target, const transform& to_top,
-               const rect& local, const std::vector<char>& reaches, std::vector<rect>& out) {
-  if (cur == target) {
-    out.push_back(to_top.apply(local));
-    return;
-  }
-  const db::cell& c = lib.at(cur);
-  for (const db::cell_ref& r : c.refs()) {
-    if (reaches[r.target]) {
-      cover_rec(lib, r.target, target, to_top.compose(r.trans), local, reaches, out);
-    }
-  }
-  for (const db::cell_array& a : c.arrays()) {
-    if (!reaches[a.target]) continue;
-    const std::uint16_t cmax = static_cast<std::uint16_t>(a.cols - 1);
-    const std::uint16_t rmax = static_cast<std::uint16_t>(a.rows - 1);
-    std::vector<rect> tmp;
-    for (const auto& [cc, rr] : {std::pair{std::uint16_t{0}, std::uint16_t{0}},
-                                std::pair{cmax, std::uint16_t{0}},
-                                std::pair{std::uint16_t{0}, rmax},
-                                std::pair{cmax, rmax}}) {
-      cover_rec(lib, a.target, target, to_top.compose(a.instance(cc, rr)), local, reaches, tmp);
-    }
-    rect j;
-    for (const rect& r : tmp) j = j.join(r);
-    if (!j.empty()) out.push_back(j);
-  }
-}
-
-// Map a dirty rect from `frame` coordinates to every top's coordinates;
-// each image carries `layers`.
+// Map a dirty rect from `frame` coordinates to every top's coordinates: one
+// image per placement of `frame` (each array instance its own), each carrying
+// `layers`.
 void map_to_tops(const db::library& lib, cell_id frame, const rect& local,
                  const std::vector<db::layer_t>& layers, std::vector<dirty_rect>& out) {
   if (local.empty() || layers.empty()) return;
   const std::vector<char> reaches = reach_set(lib, frame);
-  std::vector<rect> boxes;
+  std::vector<transform> placements;
   for (const cell_id top : lib.top_cells()) {
-    if (!reaches[top]) continue;
-    cover_rec(lib, top, frame, transform{}, local, reaches, boxes);
+    if (reaches[top]) placements_rec(lib, top, frame, transform{}, reaches, placements);
   }
-  for (const rect& b : boxes) out.push_back({b, layers});
+  for (const transform& t : placements) out.push_back({t.apply(local), layers});
 }
 
 // Every layer with content in `child`'s subtree: the layers that placing,
@@ -142,37 +106,6 @@ cell_id resolve_cell(const db::library& lib, const std::string& name, const std:
 }
 
 }  // namespace
-
-std::vector<dirty_rect> merge_rects(std::vector<dirty_rect> rects) {
-  // `out` stays pairwise disjoint. Each incoming rect absorbs every output
-  // rect it overlaps; a join can reach rects the pass already went by, so
-  // it rescans until a pass absorbs nothing. Every absorption removes an
-  // output rect, so there are at most 2n passes in all.
-  std::vector<dirty_rect> out;
-  out.reserve(rects.size());
-  std::vector<db::layer_t> merged;
-  for (dirty_rect& r : rects) {
-    for (bool grew = true; grew;) {
-      grew = false;
-      for (std::size_t i = 0; i < out.size();) {
-        if (!out[i].box.overlaps(r.box)) {
-          ++i;
-          continue;
-        }
-        r.box = r.box.join(out[i].box);
-        merged.clear();
-        std::set_union(r.layers.begin(), r.layers.end(), out[i].layers.begin(),
-                       out[i].layers.end(), std::back_inserter(merged));
-        r.layers.swap(merged);
-        out[i] = std::move(out.back());
-        out.pop_back();
-        grew = true;
-      }
-    }
-    out.push_back(std::move(r));
-  }
-  return out;
-}
 
 std::vector<transform> placements_of(const db::library& lib, db::cell_id top,
                                      db::cell_id target) {

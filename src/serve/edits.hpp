@@ -14,14 +14,14 @@
 // snapshot entries (layer views + packed edges of the edited master via
 // invalidate_master -> partial mbr_index::update_cell; the flat-instance
 // memo only when placements or per-layer emptiness changed), and returns
-// top-coordinate dirty rects covering old ∪ new extents of every edit,
-// mapped through EVERY placement of the edited cell (arrays covered by the
-// corner-instance join — array steps are pure translations, so the four
-// corner images bound the union). Each dirty rect carries the layers its
-// edit touched: a *_poly op touches its own layer, a *_inst op every layer
-// with content in the referenced child's subtree. The incremental scheduler
-// (session.hpp) expands these rects by each rule's halo and reruns there
-// only the rules that read a touched layer.
+// top-coordinate dirty rects covering old ∪ new extents of every edit: one
+// rect per placement of the edited cell, every array instance its own, so a
+// master edit dirties only the neighbourhoods of its placements. Each dirty
+// rect carries the layers its edit touched: a *_poly op touches its own
+// layer, a *_inst op every layer with content in the referenced child's
+// subtree. The incremental scheduler (session.hpp) expands these rects by
+// each rule's halo and reruns there only the rules that read a touched
+// layer.
 #pragma once
 
 #include <span>
@@ -69,12 +69,8 @@ struct dirty_rect {
   std::vector<db::layer_t> layers;
 };
 
-/// Join overlapping dirty rects until no two overlap, unioning the layer
-/// sets of joined rects. O(n^2) overlap tests for n rects.
-[[nodiscard]] std::vector<dirty_rect> merge_rects(std::vector<dirty_rect> rects);
-
 struct edit_result {
-  std::vector<dirty_rect> dirty;  ///< top-coordinate covering rects, unmerged
+  std::vector<dirty_rect> dirty;  ///< top-coordinate covering rects, one per placement per op
   std::size_t applied = 0;
   bool instances_changed = false;  ///< placements or layer emptiness changed
   /// The set of top cells changed (a removed last reference promotes a cell

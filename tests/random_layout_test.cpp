@@ -23,6 +23,8 @@
 #include "db/flatten.hpp"
 #include "engine/engine.hpp"
 #include "engine/plan.hpp"
+#include "engine/snapshot.hpp"
+#include "geo/region.hpp"
 #include "infra/trace.hpp"
 
 namespace odrc {
@@ -325,6 +327,73 @@ TEST_P(RandomLayout, DerivedAndColoringMatchWholeLayerOracle) {
         }
         EXPECT_EQ(norm(seq.check_region(lib, r, w).violations), norm(in_window(want, w)))
             << "window rule " << ri << " iter=" << iter;
+      }
+    }
+  }
+}
+
+std::vector<violation> in_region(std::vector<violation> vs, const geo::region& r) {
+  std::erase_if(vs, [&](const violation& v) {
+    return !r.overlaps(v.e1.mbr()) && !r.overlaps(v.e2.mbr());
+  });
+  return vs;
+}
+
+// A windowed deck run over a region of k rects, disjoint and overlapping,
+// restricted to each rule's scope, equals the full check restricted the same
+// way, in seq and par mode and for whole-clip rules too. A one-rect region
+// restricted to its window equals check_region.
+TEST_P(RandomLayout, RegionRunMatchesFullCheckInScope) {
+  std::mt19937 rng(static_cast<std::uint32_t>(GetParam()) * 40503u + 3);
+  std::uniform_int_distribution<coord_t> corner(-200, 4600), extent(20, 700), shift(-300, 300);
+  const std::vector<rules::rule> deck = {
+      rules::layer(1).width().greater_than(25),
+      rules::layer(1).area().greater_than(5000),
+      rules::polygons().is_rectilinear(),
+      rules::layer(1).spacing().greater_than(25),
+      rules::layer(2).enclosed_by(1).greater_than(12),
+      rules::layer(2).overlap_with(1).area_at_least(64),
+      rules::layer(1).not_cut_by(2).area_at_least(900),
+      rules::layer(1).two_colorable(90),
+  };
+  std::vector<engine::exec_plan> plans;
+  for (const rules::rule& r : deck) plans.push_back(engine::compile_plan(r));
+  drc_engine seq({.run_mode = engine::mode::sequential});
+  drc_engine par({.run_mode = engine::mode::parallel});
+  for (int iter = 0; iter < 4; ++iter) {
+    const db::library lib = random_library(rng);
+    for (drc_engine* e : {&seq, &par}) {
+      const int m = static_cast<int>(e->config().run_mode);
+      engine::layout_snapshot snap(lib);
+      const engine::deck_report full = e->check_deck(plans, snap);
+      for (const int k : {1, 2, 5, 9}) {
+        // Odd rects overlap their predecessor; the others fall anywhere.
+        std::vector<rect> rs;
+        for (int i = 0; i < k; ++i) {
+          if (i % 2 == 1) {
+            rs.push_back(rs.back().translated({shift(rng), shift(rng)}));
+            continue;
+          }
+          const coord_t x = corner(rng), y = corner(rng);
+          rs.push_back({x, y, static_cast<coord_t>(x + extent(rng)),
+                        static_cast<coord_t>(y + extent(rng))});
+        }
+        const engine::deck_report dr = e->check_deck(plans, snap, geo::region(rs));
+        ASSERT_EQ(dr.scope.size(), plans.size());
+        for (std::size_t ri = 0; ri < plans.size(); ++ri) {
+          const geo::region& scope = dr.scope[ri];
+          for (const rect& r : rs) EXPECT_TRUE(scope.overlaps(r));
+          EXPECT_EQ(norm(in_region(dr.per_rule[ri].violations, scope)),
+                    norm(in_region(full.per_rule[ri].violations, scope)))
+              << "rule " << ri << " k=" << k << " mode=" << m << " iter=" << iter;
+        }
+        if (k != 1) continue;
+        const engine::deck_report cr = e->check_region(plans, snap, rs[0]);
+        for (std::size_t ri = 0; ri < plans.size(); ++ri) {
+          EXPECT_EQ(norm(in_window(dr.per_rule[ri].violations, rs[0])),
+                    norm(cr.per_rule[ri].violations))
+              << "check_region rule " << ri << " mode=" << m << " iter=" << iter;
+        }
       }
     }
   }

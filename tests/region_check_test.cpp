@@ -2,6 +2,8 @@
 // the window-filtered full check while examining far fewer objects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine/engine.hpp"
 #include "engine/plan.hpp"
 #include "engine/snapshot.hpp"
@@ -128,8 +130,8 @@ TEST_F(RegionCheck, ParallelModeAgrees) {
 }
 
 // A windowed deck run reports each rule's scope: the window for intra and
-// distance rules; for a whole-clip rule the window joined with exactly the
-// extents of the partition clips it overlaps.
+// distance rules; for a whole-clip rule the window plus exactly the extents
+// of the partition clips it overlaps.
 TEST(RegionScope, WholeClipScopeJoinsOverlappingClipExtents) {
   constexpr db::layer_t M1 = layers::M1;
   constexpr db::layer_t V1 = layers::V1;
@@ -158,7 +160,10 @@ TEST(RegionScope, WholeClipScopeJoinsOverlappingClipExtents) {
   ASSERT_EQ(dr.scope.size(), plans.size());
   EXPECT_EQ(dr.scope[0], w);
   EXPECT_EQ(dr.scope[1], w);
-  EXPECT_EQ(dr.scope[2], (rect{0, 0, 1400, 47}));
+  EXPECT_EQ(dr.scope[2].bounds(), (rect{0, 0, 1400, 47}));
+  std::vector<rect> got(dr.scope[2].rects().begin(), dr.scope[2].rects().end());
+  std::ranges::sort(got, {}, [](const rect& r) { return std::pair(r.x_min, r.y_max); });
+  EXPECT_EQ(got, (std::vector<rect>{{0, 0, 400, 47}, w, {1000, 0, 1400, 30}}));
   // The run evaluates A's clip whole, so it finds the via outside w; the
   // exact-window check_region drops it.
   EXPECT_EQ(dr.per_rule[2].violations.size(), 1u);

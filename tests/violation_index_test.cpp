@@ -138,7 +138,7 @@ TEST(VioIndex, InWindowMatchesScanUnderChurn) {
   check_windows("after bulk add");
   for (int round = 0; round < 5; ++round) {
     const coord_t x = pos(rng), y = pos(rng);
-    db.erase_touching("R.A", {x, y, static_cast<coord_t>(x + 400), static_cast<coord_t>(y + 400)});
+    db.erase_touching("R.A", rect{x, y, static_cast<coord_t>(x + 400), static_cast<coord_t>(y + 400)});
     for (int i = 0; i < 40; ++i) db.add_unique("R.A", at(pos(rng), pos(rng)));
     check_windows("after churn round");
   }
