@@ -81,6 +81,18 @@ std::size_t layout_snapshot::overlay_entries() const {
 void layout_snapshot::invalidate_master(db::cell_id master) {
   views_.invalidate(master);
   {
+    std::unique_lock lk(inst_mu_);
+    for (auto& [k, mbrs] : mbr_map_) {
+      const instance_set& set = inst_map_.at(k);
+      const master_layer_view* v = nullptr;
+      for (std::size_t i = 0; i < set.placed.size(); ++i) {
+        if (set.placed[i].master != master) continue;
+        if (!v) v = &views_.get(master, static_cast<db::layer_t>(k.layer));
+        mbrs[i] = v->empty() ? rect{} : set.placed[i].to_top.apply(v->mbr);
+      }
+    }
+  }
+  {
     std::unique_lock lk(pack_mu_);
     for (auto it = pack_map_.begin(); it != pack_map_.end();) {
       if (it->first.cell == master) {
@@ -97,6 +109,7 @@ void layout_snapshot::invalidate_master(db::cell_id master) {
 void layout_snapshot::invalidate_instances() {
   std::unique_lock lk(inst_mu_);
   inst_map_.clear();
+  mbr_map_.clear();
   // Placements changed somewhere: every blob instance record is suspect.
   inst_frozen_enabled_ = false;
 }
@@ -129,6 +142,27 @@ const instance_set& layout_snapshot::instances(db::cell_id top, db::layer_t laye
   }
   std::unique_lock lk(inst_mu_);
   return inst_map_.emplace(k, std::move(set)).first->second;
+}
+
+std::span<const rect> layout_snapshot::placed_mbrs(db::cell_id top, db::layer_t layer) {
+  const view_cache::key k = view_cache::make_key(top, layer);
+  {
+    std::shared_lock lk(inst_mu_);
+    auto it = mbr_map_.find(k);
+    if (it != mbr_map_.end()) return it->second;
+  }
+  const instance_set& set = instances(top, layer);
+  std::vector<rect> mbrs(set.placed.size());
+  // One view lookup per master, not per placement.
+  std::vector<const master_layer_view*> view_of(lib_.cell_count(), nullptr);
+  for (std::size_t i = 0; i < set.placed.size(); ++i) {
+    const db::placed_cell& pc = set.placed[i];
+    const master_layer_view*& v = view_of[pc.master];
+    if (!v) v = &views_.get(pc.master, layer);
+    if (!v->empty()) mbrs[i] = pc.to_top.apply(v->mbr);
+  }
+  std::unique_lock lk(inst_mu_);
+  return mbr_map_.emplace(k, std::move(mbrs)).first->second;
 }
 
 const packed_master_edges& layout_snapshot::packed(db::cell_id master, db::layer_t layer) {

@@ -12,7 +12,9 @@
 //   - one `db::mbr_index` over the library;
 //   - one `view_cache` of per-(master, layer) polygon views;
 //   - memoized `flat_instance_list(top, layer)` results plus the per-master
-//     occurrence counts the instance collector consults for splitting;
+//     occurrence counts the instance collector consults for splitting, and
+//     the top-frame layer MBR of every placement (placed_mbrs), so a
+//     windowed collect tests rects without a view lookup or a transform;
 //   - a master-local packed-edge cache: `pack_polygon_edges` runs once per
 //     (master, layer), and packing an *instance* afterwards only applies the
 //     placement transform to the cached records (append_packed_instance).
@@ -43,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -236,6 +239,12 @@ class layout_snapshot {
   /// Thread-safe; the reference is stable for the snapshot's lifetime.
   const instance_set& instances(db::cell_id top, db::layer_t layer);
 
+  /// Top-frame MBR of each placement's layer view, parallel to
+  /// instances(top, layer).placed (empty where the view is empty).
+  /// Memoized per (top, layer) and thread-safe like instances();
+  /// invalidate_master() refreshes the edited master's entries in place.
+  std::span<const rect> placed_mbrs(db::cell_id top, db::layer_t layer);
+
   /// Memoized master-local packed edges of (master, layer). Thread-safe and
   /// built once: concurrent misses on one key wait for the first build. The
   /// reference is stable for the snapshot's lifetime.
@@ -246,9 +255,10 @@ class layout_snapshot {
   //    invalidated entries dangle.
 
   /// Cell `master`'s polygons or references changed in place: drop its layer
-  /// views and packed edges (masking their frozen records) and refresh the
-  /// MBR index (partial update — thaws a frozen index — with a full rebuild
-  /// as fallback). Does NOT touch the flat-instance memo — call
+  /// views and packed edges (masking their frozen records), refresh the
+  /// placed_mbrs entries of its placements and the MBR index (partial
+  /// update — thaws a frozen index — with a full rebuild as fallback). Does
+  /// NOT touch the flat-instance memo — call
   /// invalidate_instances() too if placements or per-layer emptiness changed.
   void invalidate_master(db::cell_id master);
 
@@ -265,6 +275,8 @@ class layout_snapshot {
 
   mutable std::shared_mutex inst_mu_;
   std::unordered_map<view_cache::key, instance_set, view_cache::key_hash> inst_map_;
+  /// placed_mbrs entries, guarded by inst_mu_ and dropped with inst_map_.
+  std::unordered_map<view_cache::key, std::vector<rect>, view_cache::key_hash> mbr_map_;
   bool inst_frozen_enabled_ = true;  ///< guarded by inst_mu_
 
   /// One (master, layer) entry of the packed-edge cache, built once: a miss

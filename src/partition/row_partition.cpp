@@ -60,24 +60,28 @@ grouping merge_1d(std::span<const interval> intervals, merge_strategy strategy) 
   }
 
   // Coordinate-compress endpoints so the pigeonhole domain is the number of
-  // distinct coordinates (the paper's N), not the raw coordinate range.
-  std::vector<coord_t> coords;
-  coords.reserve(intervals.size() * 2);
-  for (const interval& iv : intervals) {
-    coords.push_back(iv.lo);
-    coords.push_back(iv.hi);
-  }
-  std::sort(coords.begin(), coords.end());
-  coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
-  auto rank = [&](coord_t v) {
-    return static_cast<coord_t>(std::lower_bound(coords.begin(), coords.end(), v) -
-                                coords.begin());
+  // distinct coordinates (the paper's N), not the raw coordinate range. One
+  // sort of (coordinate, endpoint) keys yields every endpoint's rank in a
+  // single pass: endpoint 2i is interval i's lo, 2i + 1 its hi (the low 32
+  // bits of the key).
+  std::vector<std::uint64_t> keys;
+  keys.reserve(intervals.size() * 2);
+  const auto biased = [](coord_t v) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v) ^ 0x80000000u) << 32;
   };
-
-  std::vector<interval> ranked(intervals.size());
   for (std::size_t i = 0; i < intervals.size(); ++i) {
-    ranked[i] = {rank(intervals[i].lo), rank(intervals[i].hi),
-                 static_cast<std::uint32_t>(i)};
+    keys.push_back(biased(intervals[i].lo) | (2 * i));
+    keys.push_back(biased(intervals[i].hi) | (2 * i + 1));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<coord_t> coords;  // rank -> coordinate
+  std::vector<interval> ranked(intervals.size());
+  for (const std::uint64_t key : keys) {
+    const std::uint32_t e = static_cast<std::uint32_t>(key);
+    const coord_t v = (e & 1) ? intervals[e / 2].hi : intervals[e / 2].lo;
+    if (coords.empty() || coords.back() != v) coords.push_back(v);
+    const coord_t r = static_cast<coord_t>(coords.size() - 1);
+    (e & 1 ? ranked[e / 2].hi : ranked[e / 2].lo) = r;
   }
 
   std::vector<interval> merged_ranked;
@@ -89,24 +93,21 @@ grouping merge_1d(std::span<const interval> intervals, merge_strategy strategy) 
     merged_ranked = merge_intervals_by_sort(ranked);
   }
 
-  // Map group extents back to real coordinates.
+  // Map group extents back to real coordinates, and every rank inside a
+  // group to that group: each input lies inside exactly one group, the one
+  // holding its lo rank.
   g.groups.reserve(merged_ranked.size());
+  std::vector<std::uint32_t> group_at(coords.size(), 0);
   for (std::size_t gi = 0; gi < merged_ranked.size(); ++gi) {
     const interval& m = merged_ranked[gi];
     g.groups.push_back({coords[static_cast<std::size_t>(m.lo)],
                         coords[static_cast<std::size_t>(m.hi)],
                         static_cast<std::uint32_t>(gi)});
+    std::fill(group_at.begin() + m.lo, group_at.begin() + m.hi + 1,
+              static_cast<std::uint32_t>(gi));
   }
-
-  // Assign inputs: each input interval lies inside exactly one merged group;
-  // binary-search its lo endpoint among group starts.
-  std::vector<coord_t> starts;
-  starts.reserve(merged_ranked.size());
-  for (const interval& m : merged_ranked) starts.push_back(m.lo);
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    const auto it = std::upper_bound(starts.begin(), starts.end(), ranked[i].lo);
-    const auto gi = static_cast<std::uint32_t>(it - starts.begin() - 1);
-    assert(gi < g.groups.size());
+    const std::uint32_t gi = group_at[static_cast<std::size_t>(ranked[i].lo)];
     assert(merged_ranked[gi].lo <= ranked[i].lo && ranked[i].hi <= merged_ranked[gi].hi);
     g.group_of[i] = gi;
   }
