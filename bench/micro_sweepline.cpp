@@ -10,7 +10,6 @@
 #include "infra/bench_harness.hpp"
 #include "infra/interval_tree.hpp"
 #include "infra/simd.hpp"
-#include "geo/rtree.hpp"
 #include "sweep/sweepline.hpp"
 
 namespace {
@@ -126,20 +125,6 @@ int main(int argc, char** argv) {
         }
       }
       ctx.counter("items", static_cast<double>(inner));
-    });
-  }
-
-  // Candidate-structure comparison: the same all-pairs enumeration through
-  // the packed R-tree (the structure behind report::violation_index).
-  const std::vector<std::size_t> cand_ns =
-      quick ? std::vector<std::size_t>{1 << 10}
-            : std::vector<std::size_t>{1 << 10, 1 << 13, 1 << 15};
-  for (const std::size_t n : cand_ns) {
-    add_overlap_case(s, "rtree_overlap", n, [](const std::vector<rect>& rects) {
-      const geo::rtree tree(rects);
-      std::uint64_t pairs = 0;
-      tree.overlap_pairs([&](std::uint32_t, std::uint32_t) { ++pairs; });
-      return pairs;
     });
   }
 

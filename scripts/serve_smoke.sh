@@ -89,7 +89,7 @@ via_recheck cli single
 # ---------------------------------------------------------------------------
 # Subscription phase (DESIGN.md §12): a background subscriber must receive
 # the next recheck's key diff as a server-pushed delta frame, and the query
-# verb must find the fresh marker through the stored-violation R-tree.
+# verb must find the fresh marker among the stored violations.
 # ---------------------------------------------------------------------------
 "$odrc" client --socket="$sock" subscribe --count=1 --timeout=20000 > "$work/sub.out" &
 sub_pid=$!

@@ -73,7 +73,7 @@ std::size_t layout_snapshot::overlay_entries() const {
   }
   {
     std::shared_lock lk(inst_mu_);
-    if (!inst_frozen_enabled_ && frozen_ != nullptr) ++n;
+    n += inst_stale_.size();
   }
   return n;
 }
@@ -106,12 +106,18 @@ void layout_snapshot::invalidate_master(db::cell_id master) {
   if (!index_.update_cell(master)) index_ = db::mbr_index(lib_);
 }
 
-void layout_snapshot::invalidate_instances() {
+void layout_snapshot::invalidate_instances(std::span<const db::layer_t> layers) {
+  // The any-layer list holds every layer's placements.
+  const auto stale = [&](std::int32_t l) {
+    return l == rules::any_layer || std::ranges::find(layers, l) != layers.end();
+  };
   std::unique_lock lk(inst_mu_);
-  inst_map_.clear();
-  mbr_map_.clear();
-  // Placements changed somewhere: every blob instance record is suspect.
-  inst_frozen_enabled_ = false;
+  std::erase_if(inst_map_, [&](const auto& e) { return stale(e.first.layer); });
+  std::erase_if(mbr_map_, [&](const auto& e) { return stale(e.first.layer); });
+  if (frozen_ != nullptr) {
+    inst_stale_.insert(layers.begin(), layers.end());
+    inst_stale_.insert(rules::any_layer);
+  }
 }
 
 const instance_set& layout_snapshot::instances(db::cell_id top, db::layer_t layer) {
@@ -121,7 +127,7 @@ const instance_set& layout_snapshot::instances(db::cell_id top, db::layer_t laye
     std::shared_lock lk(inst_mu_);
     auto it = inst_map_.find(k);
     if (it != inst_map_.end()) return it->second;
-    use_frozen = use_frozen && inst_frozen_enabled_;
+    use_frozen = use_frozen && !inst_stale_.contains(layer);
   }
   instance_set set;
   if (!use_frozen || !frozen_->fill_instances(top, layer, set)) {

@@ -33,8 +33,9 @@
 // hooks — invalidate_master() after editing a cell's polygons or references
 // (drops that master's layer views and packed edges, masks its frozen
 // records, and refreshes the MBR index partially via mbr_index::update_cell,
-// falling back to a full rebuild), invalidate_instances() when placements
-// changed (also disables all frozen instance records). Invalidation is
+// falling back to a full rebuild), invalidate_instances(layers) when the
+// placements on some layers changed (drops those layers' flat instance lists
+// and marks their frozen instance records stale). Invalidation is
 // NOT thread-safe against concurrent readers: a session must serialize edits
 // against checks (the serve session mutex does). All read caches remain
 // thread-safe (shared_mutex, node-stable unordered_map values):
@@ -230,9 +231,9 @@ class layout_snapshot {
   /// True when backed by a mapped frozen snapshot.
   [[nodiscard]] bool frozen_backed() const { return frozen_ != nullptr; }
 
-  /// Copy-on-write overlay size: masked masters plus the instance-memo
-  /// disable flag. 0 until the first invalidation of a frozen-backed
-  /// snapshot.
+  /// Copy-on-write overlay size: masked masters plus layers whose frozen
+  /// instance records are stale. 0 until the first invalidation of a
+  /// frozen-backed snapshot.
   [[nodiscard]] std::size_t overlay_entries() const;
 
   /// Memoized flat_instance_list(index, top, layer) + occurrence counts.
@@ -262,10 +263,12 @@ class layout_snapshot {
   /// invalidate_instances() too if placements or per-layer emptiness changed.
   void invalidate_master(db::cell_id master);
 
-  /// Placements changed (instance added/removed/moved, or a cell's content
-  /// appeared on / vanished from a layer): drop all memoized flat instance
-  /// lists and stop consulting the blob's instance records.
-  void invalidate_instances();
+  /// Placements on `layers` changed (instance added/removed/moved, or a
+  /// cell's content appeared on / vanished from a layer): drop those layers'
+  /// memoized flat instance lists and placed_mbrs (and the any-layer
+  /// entries), and stop consulting the blob's instance records for them.
+  /// Other layers' entries stay valid: their placements did not move.
+  void invalidate_instances(std::span<const db::layer_t> layers);
 
  private:
   const db::library& lib_;
@@ -277,7 +280,8 @@ class layout_snapshot {
   std::unordered_map<view_cache::key, instance_set, view_cache::key_hash> inst_map_;
   /// placed_mbrs entries, guarded by inst_mu_ and dropped with inst_map_.
   std::unordered_map<view_cache::key, std::vector<rect>, view_cache::key_hash> mbr_map_;
-  bool inst_frozen_enabled_ = true;  ///< guarded by inst_mu_
+  /// Layers whose blob instance records are stale; guarded by inst_mu_.
+  std::unordered_set<std::int32_t> inst_stale_;
 
   /// One (master, layer) entry of the packed-edge cache, built once: a miss
   /// inserts the slot under pack_mu_ and builds it under `once`.

@@ -69,9 +69,8 @@ void violation_db::add(const std::string& rule_name,
                        std::span<const checks::violation> violations) {
   entries_.reserve(entries_.size() + violations.size());
   for (const checks::violation& v : violations) {
-    entries_.push_back({rule_name, v, violation_key(rule_name, v), next_id_++});
+    entries_.push_back({rule_name, v, violation_key(rule_name, v)});
     ++key_count_[entries_.back().key];
-    if (index_) index_->insert(entries_.back().id, marker_box(v));
   }
 }
 
@@ -79,8 +78,7 @@ bool violation_db::add_unique(const std::string& rule_name, const checks::violat
   std::string key = violation_key(rule_name, v);
   auto [it, inserted] = key_count_.try_emplace(std::move(key), 1);
   if (!inserted) return false;
-  entries_.push_back({rule_name, v, it->first, next_id_++});
-  if (index_) index_->insert(entries_.back().id, marker_box(v));
+  entries_.push_back({rule_name, v, it->first});
   return true;
 }
 
@@ -93,19 +91,6 @@ std::size_t violation_db::erase_touching(const std::string& rule_name,
     if (!window.overlaps(e.v.e1.mbr()) && !window.overlaps(e.v.e2.mbr())) return false;
     auto it = key_count_.find(e.key);
     if (it != key_count_.end() && --it->second == 0) key_count_.erase(it);
-    if (index_) index_->erase(e.id);
-    return true;
-  });
-  return before - entries_.size();
-}
-
-std::size_t violation_db::erase_rule(const std::string& rule_name) {
-  const std::size_t before = entries_.size();
-  std::erase_if(entries_, [&](const entry& e) {
-    if (e.rule != rule_name) return false;
-    auto it = key_count_.find(e.key);
-    if (it != key_count_.end() && --it->second == 0) key_count_.erase(it);
-    if (index_) index_->erase(e.id);
     return true;
   });
   return before - entries_.size();
@@ -131,33 +116,11 @@ std::vector<summary_row> violation_db::summarize() const {
 }
 
 std::vector<std::size_t> violation_db::in_window(const rect& window) const {
-  if (!index_) {
-    std::vector<std::pair<std::uint64_t, rect>> items;
-    items.reserve(entries_.size());
-    for (const entry& e : entries_) items.emplace_back(e.id, marker_box(e.v));
-    index_.emplace(items);
-  }
-  std::vector<std::size_t> out;
-  index_->query(window, [&](std::uint64_t id) {
-    // entries_ is sorted by id (monotonic assignment, stable erase).
-    const auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
-                                     [](const entry& e, std::uint64_t v) { return e.id < v; });
-    out.push_back(static_cast<std::size_t>(it - entries_.begin()));
-  });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::size_t> violation_db::in_window_scan(const rect& window) const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (window.overlaps(marker_box(entries_[i].v))) out.push_back(i);
   }
   return out;
-}
-
-violation_index_stats violation_db::index_stats() const {
-  return index_ ? index_->stats() : violation_index_stats{};
 }
 
 rect violation_db::extent() const {

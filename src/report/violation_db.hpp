@@ -1,6 +1,6 @@
 // Violation database (interface layer "result output"): accumulates the
 // violations of a whole deck run keyed by rule name, answers windowed
-// queries (R-tree backed — "show me the markers under the cursor"), and
+// queries (a linear scan — "show me the markers under the cursor"), and
 // serializes to human-readable text or machine-readable JSON for downstream
 // tooling.
 #pragma once
@@ -16,15 +16,13 @@
 
 #include "checks/violation.hpp"
 #include "geo/region.hpp"
-#include "report/violation_index.hpp"
 
 namespace odrc::report {
 
 struct entry {
   std::string rule;  ///< rule name (e.g. "M1.S.1"); may be empty
   checks::violation v;
-  std::string key;       ///< violation_key(rule, v), computed at insertion
-  std::uint64_t id = 0;  ///< stable per-db insertion id (monotonic, never reused)
+  std::string key;  ///< violation_key(rule, v), computed at insertion
 };
 
 /// Stable content-derived identity of one violation: rule name + kind +
@@ -68,10 +66,6 @@ class violation_db {
   std::size_t erase_touching(const std::string& rule_name, const geo::region& window,
                              std::optional<std::int16_t> layer = std::nullopt);
 
-  /// Remove every entry of `rule_name` (full-replace path for rules that are
-  /// not locally incremental). Returns the count removed.
-  std::size_t erase_rule(const std::string& rule_name);
-
   /// Sorted unique violation keys of the current contents.
   [[nodiscard]] std::vector<std::string> keys() const;
 
@@ -82,19 +76,11 @@ class violation_db {
   /// Per-rule counts, in first-seen rule order.
   [[nodiscard]] std::vector<summary_row> summarize() const;
 
-  /// Indices of entries whose marker box overlaps `window`, ascending —
-  /// byte-identical to a linear scan of entries() with the same overlap
-  /// test. Backed by an incremental `violation_index`: bulk-loaded on the
-  /// first call, then maintained through add/add_unique/erase (epoch rebuild
-  /// absorbs churn), so repeated windowed queries over a mutating store stay
-  /// sublinear instead of rescanning every record.
+  /// Indices of entries whose marker box overlaps `window`, ascending. A
+  /// linear scan: a serve session stores tens of violations, and every
+  /// recheck already makes one erase_touching pass over all of them per
+  /// rerun rule.
   [[nodiscard]] std::vector<std::size_t> in_window(const rect& window) const;
-
-  /// Reference linear-scan implementation of in_window (tests, bench).
-  [[nodiscard]] std::vector<std::size_t> in_window_scan(const rect& window) const;
-
-  /// Index maintenance counters (empty stats before the first in_window).
-  [[nodiscard]] violation_index_stats index_stats() const;
 
   /// Bounding box of all markers (empty rect when no violations).
   [[nodiscard]] rect extent() const;
@@ -116,11 +102,6 @@ class violation_db {
   // keys() without an O(n) rescan. A count (not a set) because plain add()
   // accepts duplicates.
   std::unordered_map<std::string, std::uint32_t> key_count_;
-  // Ids are assigned monotonically and erase_if is stable, so entries_ is
-  // always sorted by id — in_window maps index ids back to positions with a
-  // binary search instead of a side map.
-  std::uint64_t next_id_ = 1;
-  mutable std::optional<violation_index> index_;
 };
 
 /// Order-independent key-set diff: what a recheck fixed, introduced, and

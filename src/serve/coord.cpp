@@ -1,10 +1,8 @@
 #include "serve/coord.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "infra/trace.hpp"
 
@@ -110,24 +108,11 @@ void coordinator::start() {
 }
 
 std::vector<coordinator::leg_result> coordinator::scatter(msg_type t, std::uint32_t session,
-                                                          const std::string& payload, bool gate,
+                                                          const std::string& payload,
                                                           const std::vector<bool>* pick) {
   trace::span ts("coord", "scatter", "type", static_cast<std::int64_t>(t), "legs",
                  static_cast<std::int64_t>(links_.size()));
   std::vector<leg_result> results(links_.size());
-  // Lock the picked links in index order, the same order every scatter
-  // uses, and keep them for the whole scatter.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (pick != nullptr && !(*pick)[i]) {
-      results[i].error = "skipped";
-      continue;
-    }
-    locks.emplace_back(links_[i]->mu);
-    pending.push_back(i);
-  }
-
   // Run one step of leg i; a transport failure ends the leg and marks the
   // link unhealthy.
   auto step = [&](std::size_t i, auto&& fn) {
@@ -142,63 +127,25 @@ std::vector<coordinator::leg_result> coordinator::scatter(msg_type t, std::uint3
       return false;
     }
   };
+  // Lock the picked links in index order, the same order every scatter
+  // uses, keep them for the whole scatter, and put each leg's request on
+  // the wire.
+  std::vector<std::unique_lock<std::mutex>> locks;
   std::vector<std::uint16_t> seqs(links_.size());
   std::vector<std::size_t> sent;  // legs whose request is on the wire
-  auto send_request = [&](std::size_t i) {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    if (pick != nullptr && !(*pick)[i]) {
+      results[i].error = "skipped";
+      continue;
+    }
+    locks.emplace_back(links_[i]->mu);
     if (step(i, [&](worker_link& w) { seqs[i] = w.cli.send(t, session, payload); })) {
       sent.push_back(i);
     }
-  };
-
-  if (gate) {
-    // Admission gate: each round probes every pending leg's `health`, then
-    // reads the probes in leg order; an admitted leg's request goes out at
-    // once, so its worker starts while the others back off.
-    for (std::size_t attempt = 0; attempt <= ccfg_.admission_retries && !pending.empty();
-         ++attempt) {
-      if (attempt > 0) {
-        for (const std::size_t i : pending) links_[i]->delayed.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(ccfg_.backoff_ms * attempt));
-      }
-      std::vector<std::size_t> probed;
-      for (const std::size_t i : pending) {
-        if (step(i, [&](worker_link& w) { seqs[i] = w.cli.send(msg_type::health, 0); })) {
-          probed.push_back(i);
-        }
-      }
-      pending.clear();
-      for (const std::size_t i : probed) {
-        bool admitted = false;
-        const bool alive = step(i, [&](worker_link& w) {
-          const frame h = w.cli.receive(seqs[i]);
-          // "error busy" (or a too-deep queue): the worker itself is shedding.
-          if (!client::ok(h)) return;
-          const std::string line = client::status_line(h);
-          const std::size_t load = static_cast<std::size_t>(status_field(line, "depth") +
-                                                            status_field(line, "inflight"));
-          w.last_depth.store(load);
-          admitted = load <= ccfg_.max_worker_depth;
-        });
-        if (admitted) {
-          send_request(i);
-        } else if (alive) {
-          pending.push_back(i);
-        }
-      }
-    }
-    for (const std::size_t i : pending) {
-      worker_link& w = *links_[i];
-      w.shed.fetch_add(1);
-      trace::counter("coord", "legs_shed", static_cast<std::int64_t>(w.shed.load()));
-      results[i].busy = true;
-      results[i].error = "busy shard " + std::to_string(w.index);
-    }
-  } else {
-    for (const std::size_t i : pending) send_request(i);
   }
 
   // Every worker runs its leg concurrently; read the replies in leg order.
-  std::ranges::sort(sent);
+  // A worker whose own queue is full answers "error busy": the leg fails.
   for (const std::size_t i : sent) {
     step(i, [&](worker_link& w) {
       const frame resp = w.cli.receive(seqs[i]);
@@ -206,7 +153,10 @@ std::vector<coordinator::leg_result> coordinator::scatter(msg_type t, std::uint3
       leg_result& out = results[i];
       if (!client::ok(resp)) {
         const std::string line = client::status_line(resp);
-        out.busy = line.rfind("error busy", 0) == 0;
+        if (line.rfind("error busy", 0) == 0) {
+          w.shed.fetch_add(1);
+          trace::counter("coord", "legs_shed", static_cast<std::int64_t>(w.shed.load()));
+        }
         out.error = "shard " + std::to_string(w.index) + ": " + line;
         return;
       }
@@ -223,7 +173,7 @@ std::string coordinator::do_check(const frame& f) {
   // Baseline for the subscribers' delta: the reconciled key set before this
   // check rebuilds the ownership map.
   const std::vector<std::string> baseline = current_keys();
-  const std::vector<leg_result> legs = scatter(msg_type::check, f.header.session, "keys", true);
+  const std::vector<leg_result> legs = scatter(msg_type::check, f.header.session, "keys");
 
   // Rebuild ownership per succeeded worker even when a sibling failed: each
   // worker's report is the truth about its own band.
@@ -269,8 +219,8 @@ std::string coordinator::gather_keys(const frame& f, const char* verb, bool by_b
   // check_region asks the bands overlapping the window. query asks EVERY
   // worker: an entry is stored where an offending EDGE touches the band,
   // but its marker box (the joined MBR of both edges) can overlap a window
-  // the band itself misses; ungated — a stored-index lookup costs the
-  // worker almost nothing.
+  // the band itself misses; a scan of the worker's stored violations costs
+  // it almost nothing.
   std::vector<bool> pick(links_.size(), true);
   if (by_band) {
     for (std::size_t i = 0; i < links_.size(); ++i) pick[i] = links_[i]->band.overlaps(w);
@@ -285,7 +235,7 @@ std::string coordinator::gather_keys(const frame& f, const char* verb, bool by_b
     // state that never existed.
     std::lock_guard sc(scatter_mu_);
     legs = scatter(static_cast<msg_type>(f.header.type), f.header.session,
-                   f.payload + (want_keys ? "" : " keys"), by_band, &pick);
+                   f.payload + (want_keys ? "" : " keys"), &pick);
   }
   std::vector<std::string> keys;
   for (std::size_t i = 0; i < legs.size(); ++i) {
@@ -301,8 +251,7 @@ std::string coordinator::gather_keys(const frame& f, const char* verb, bool by_b
 
 std::string coordinator::do_edit(const frame& f) {
   std::lock_guard sc(scatter_mu_);
-  // Never gated: a shed edit would fork the replicas.
-  const std::vector<leg_result> legs = scatter(msg_type::edit, f.header.session, f.payload, false);
+  const std::vector<leg_result> legs = scatter(msg_type::edit, f.header.session, f.payload);
   for (const leg_result& r : legs) {
     if (!r.ok) return "error " + r.error;
   }
@@ -313,7 +262,7 @@ std::string coordinator::do_recheck(const frame& f) {
   const bool want_keys = f.payload.find("keys") != std::string::npos;
   std::lock_guard sc(scatter_mu_);
   const std::vector<leg_result> legs =
-      scatter(msg_type::recheck, f.header.session, "keys", true);
+      scatter(msg_type::recheck, f.header.session, "keys");
 
   std::vector<std::string> fixed, introduced;
   std::uint64_t windows = 0, plans = 0, purged = 0, inserted = 0;
@@ -386,7 +335,7 @@ std::string coordinator::do_recheck(const frame& f) {
 std::string coordinator::do_broadcast_status(const frame& f) {
   std::lock_guard sc(scatter_mu_);
   const std::vector<leg_result> legs =
-      scatter(static_cast<msg_type>(f.header.type), f.header.session, f.payload, false);
+      scatter(static_cast<msg_type>(f.header.type), f.header.session, f.payload);
   for (const leg_result& r : legs) {
     if (!r.ok) return "error " + r.error;
   }
@@ -412,16 +361,15 @@ std::string coordinator::dispatch(const frame& f) {
       std::size_t i = 0;
       for (const worker_link_stats& w : worker_stats()) {
         os << "\nshard " << i++ << " endpoint " << w.endpoint << " band " << w.band.y_min << ' '
-           << w.band.y_max << " legs " << w.legs << " shed " << w.shed << " delayed "
-           << w.delayed << " failures " << w.failures << " depth " << w.last_depth
-           << " healthy " << (w.healthy ? 1 : 0);
+           << w.band.y_max << " legs " << w.legs << " shed " << w.shed << " failures "
+           << w.failures << " healthy " << (w.healthy ? 1 : 0);
       }
       return os.str();
     }
     case msg_type::shutdown: {
       if (ccfg_.forward_shutdown) {
         std::lock_guard sc(scatter_mu_);
-        (void)scatter(msg_type::shutdown, 0, {}, false);
+        (void)scatter(msg_type::shutdown, 0, {});
       }
       return "ok shutting down";  // base handle() stops us after responding
     }
@@ -446,9 +394,7 @@ std::vector<worker_link_stats> coordinator::worker_stats() const {
     s.band = w->band;
     s.legs = w->legs.load();
     s.shed = w->shed.load();
-    s.delayed = w->delayed.load();
     s.failures = w->failures.load();
-    s.last_depth = w->last_depth.load();
     s.healthy = w->healthy.load();
     out.push_back(std::move(s));
   }

@@ -15,12 +15,11 @@
 // owner drops it; a key reported "new" is globally new only when no other
 // worker already owned it.
 //
-// Backpressure: before a scatter leg for a check-class verb, the coordinator
-// probes the worker's `health` (admission queue depth + in-flight workers).
-// An overloaded leg is delayed with backoff and finally shed — the client
-// sees "error busy" instead of the fleet queueing unboundedly. Edit-class
-// verbs are never shed: dropping an edit on one worker would fork the
-// replicas.
+// Backpressure: the one admission point is each worker's own bounded
+// request queue. A worker whose queue is full answers "error busy"; that leg
+// fails, the client sees the error, and the link counts it as shed. The
+// coordinator serializes every scatter (scatter_mu_), so its own traffic
+// keeps at most one request queued per worker.
 //
 // The coordinator reuses the whole server socket machinery (accept/reader/
 // queue/lifecycle) by overriding only dispatch(); it listens on the same
@@ -53,13 +52,7 @@ struct coord_config {
   server_config listen;  ///< the coordinator's own endpoint/queue/workers
   std::vector<std::string> worker_endpoints;
   std::vector<rect> bands;  ///< parallel to worker_endpoints; plane-tiling
-
-  /// Admission gate: shed a check-class scatter leg when the worker's
-  /// queue depth + in-flight count exceeds this.
-  std::size_t max_worker_depth = 64;
-  std::size_t admission_retries = 3;  ///< delays before shedding
-  std::size_t backoff_ms = 10;        ///< base delay, scaled by attempt
-  bool forward_shutdown = true;       ///< `shutdown` also stops the workers
+  bool forward_shutdown = true;  ///< `shutdown` also stops the workers
 };
 
 /// Per-worker link counters (stats verb, tests).
@@ -67,10 +60,8 @@ struct worker_link_stats {
   std::string endpoint;
   rect band;
   std::uint64_t legs = 0;      ///< scatter legs completed
-  std::uint64_t shed = 0;      ///< legs dropped by the admission gate
-  std::uint64_t delayed = 0;   ///< admission backoff rounds
+  std::uint64_t shed = 0;      ///< legs the worker answered "error busy"
   std::uint64_t failures = 0;  ///< transport failures (worker died, ...)
-  std::size_t last_depth = 0;  ///< last health-probe queue depth + inflight
   bool healthy = true;
 };
 
@@ -101,32 +92,28 @@ class coordinator : private detail::sessions_holder, public server {
     client cli;
     std::atomic<std::uint64_t> legs{0};
     std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> delayed{0};
     std::atomic<std::uint64_t> failures{0};
-    std::atomic<std::size_t> last_depth{0};
     std::atomic<bool> healthy{true};
   };
 
   struct leg_result {
     bool ok = false;
-    bool busy = false;
     std::string payload;  ///< worker response payload when ok
     std::string error;    ///< message otherwise
   };
 
   /// Scatter `t` to the links selected by `pick` (null = all) and gather,
-  /// on the calling thread: each phase (the admission gate's `health`
-  /// probes, then the request) writes one frame on every pending leg and
-  /// then reads the replies in leg order, so the workers run their legs
+  /// on the calling thread: write the request on every picked leg, then
+  /// read the replies in leg order, so the workers run their legs
   /// concurrently. Results align with links_ (unpicked legs are default
   /// leg_result with ok=false, error="skipped").
   std::vector<leg_result> scatter(msg_type t, std::uint32_t session, const std::string& payload,
-                                  bool gate, const std::vector<bool>* pick = nullptr);
+                                  const std::vector<bool>* pick = nullptr);
 
   std::string do_check(const frame& f);
-  /// check_region (`by_band`: gated, bands overlapping the window) and
-  /// query (ungated, every band): parse the window as the server does,
-  /// scatter, merge the legs' keys with seam dedup, answer like the server.
+  /// check_region (`by_band`: the bands overlapping the window) and query
+  /// (every band): parse the window as the server does, scatter, merge the
+  /// legs' keys with seam dedup, answer like the server.
   std::string gather_keys(const frame& f, const char* verb, bool by_band);
   std::string do_edit(const frame& f);
   std::string do_recheck(const frame& f);

@@ -175,6 +175,7 @@ std::vector<edit_op> parse_edit_script(const std::string& text) {
 edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
                         std::span<const edit_op> ops) {
   edit_result res;
+  std::vector<db::layer_t> instance_layers;  // placements or emptiness changed
   const std::vector<cell_id> tops_before = lib.top_cells();
   for (const edit_op& op : ops) {
     const std::string where = std::string("apply ") + op.cell;
@@ -188,7 +189,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         const bool had_layer = has_layer_poly(c, op.layer);
         c.add_rect(op.layer, op.box);
         local = op.box;
-        if (!had_layer) res.instances_changed = true;  // layer emptiness flip
+        if (!had_layer) instance_layers.push_back(op.layer);  // layer emptiness flip
         snap.invalidate_master(id);
         break;
       }
@@ -196,7 +197,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         const std::size_t pi = resolve_layer_poly(c, op.layer, op.index, where);
         local = c.polygons()[pi].poly.mbr();
         c.remove_polygon(pi);
-        if (!has_layer_poly(c, op.layer)) res.instances_changed = true;
+        if (!has_layer_poly(c, op.layer)) instance_layers.push_back(op.layer);
         snap.invalidate_master(id);
         break;
       }
@@ -227,7 +228,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         local = r.trans.apply(snap.index().cell_mbr(child));
         layers = subtree_layers(snap.index(), child);
         c.add_ref(r);
-        res.instances_changed = true;
+        instance_layers.insert(instance_layers.end(), layers.begin(), layers.end());
         snap.invalidate_master(id);
         break;
       }
@@ -240,7 +241,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         local = r.trans.apply(snap.index().cell_mbr(r.target));
         layers = subtree_layers(snap.index(), r.target);
         c.remove_ref(op.index);
-        res.instances_changed = true;
+        instance_layers.insert(instance_layers.end(), layers.begin(), layers.end());
         snap.invalidate_master(id);
         break;
       }
@@ -256,7 +257,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
         r.trans.offset.y = static_cast<coord_t>(r.trans.offset.y + op.delta.y);
         local = old_img.join(r.trans.apply(child_mbr));
         layers = subtree_layers(snap.index(), r.target);
-        res.instances_changed = true;
+        instance_layers.insert(instance_layers.end(), layers.begin(), layers.end());
         snap.invalidate_master(id);
         break;
       }
@@ -265,7 +266,7 @@ edit_result apply_edits(db::library& lib, engine::layout_snapshot& snap,
     map_to_tops(lib, id, local, layers, res.dirty);
     ++res.applied;
   }
-  if (res.instances_changed) snap.invalidate_instances();
+  if (!instance_layers.empty()) snap.invalidate_instances(instance_layers);
   res.tops_changed = lib.top_cells() != tops_before;
   return res;
 }

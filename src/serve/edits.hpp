@@ -13,7 +13,7 @@
 // apply_edits mutates the library in place, invalidates exactly the affected
 // snapshot entries (layer views + packed edges of the edited master via
 // invalidate_master -> partial mbr_index::update_cell; the flat-instance
-// memo only when placements or per-layer emptiness changed), and returns
+// memo of only the layers whose placements or emptiness changed), and returns
 // top-coordinate dirty rects covering old ∪ new extents of every edit: one
 // rect per placement of the edited cell, every array instance its own, so a
 // master edit dirties only the neighbourhoods of its placements. Each dirty
@@ -72,7 +72,6 @@ struct dirty_rect {
 struct edit_result {
   std::vector<dirty_rect> dirty;  ///< top-coordinate covering rects, one per placement per op
   std::size_t applied = 0;
-  bool instances_changed = false;  ///< placements or layer emptiness changed
   /// The set of top cells changed (a removed last reference promotes a cell
   /// to top; an added reference demotes one). Violations of a whole top
   /// context appear/vanish — not locally incremental, the session must fall

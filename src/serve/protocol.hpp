@@ -69,7 +69,7 @@ enum class msg_type : std::uint8_t {
   delta = 16,        ///< SERVER-INITIATED push frame, never a request; see
                      ///< the full-duplex note above for the payload format
   query = 17,        ///< payload "x1 y1 x2 y2 [keys]": windowed lookup over
-                     ///< the STORED violations (R-tree backed, no recheck)
+                     ///< the STORED violations (a linear scan, no recheck)
 };
 
 [[nodiscard]] const char* msg_type_name(std::uint8_t type);

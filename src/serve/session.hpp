@@ -173,8 +173,9 @@ class session {
 
   /// Windowed lookup over the STORED violations of the last check/recheck:
   /// entries whose marker box overlaps `w`, summarized per rule plus sorted
-  /// keys. R-tree backed (violation_db::in_window) — no geometry is
-  /// rechecked, so this is the cheap "what's under the cursor" query.
+  /// keys. A linear scan of the store (violation_db::in_window) — no
+  /// geometry is rechecked, so this is the cheap "what's under the cursor"
+  /// query.
   [[nodiscard]] window_result query_stored(const rect& w) const;
 
   /// The diff produced by the most recent check_full()/recheck().

@@ -2,9 +2,9 @@
 // of serve workers behind a coordinator must produce exactly the violation
 // set of a single-process session — including spacing violations straddling
 // a band seam, which both adjacent workers report and the coordinator dedups
-// by key. Also covers the shard planner, worker-death propagation, the
-// admission backpressure gate, scatter legs in flight together, and the TCP
-// transport. Suite names start with
+// by key. Also covers the shard planner, worker-death propagation, a busy
+// worker's refusal reaching the client, scatter legs in flight together, and
+// the TCP transport. Suite names start with
 // "Cluster"/"Coord" so the TSan CI job picks them up.
 #include "serve/coord.hpp"
 
@@ -98,7 +98,7 @@ struct Cluster : ::testing::Test {
   std::unique_ptr<coordinator> coord;
   std::string cpath;
 
-  void start_cluster(std::vector<rect> bands, coord_config tweak = {}) {
+  void start_cluster(std::vector<rect> bands) {
     const std::string stem =
         "/tmp/odrc_cl_" + std::to_string(::getpid()) + "_" + std::to_string(counter_.fetch_add(1));
     for (std::size_t i = 0; i < bands.size(); ++i) {
@@ -112,7 +112,7 @@ struct Cluster : ::testing::Test {
       workers.back()->start();
     }
     cpath = stem + "_coord.sock";
-    coord_config cc = tweak;
+    coord_config cc;
     cc.listen.socket_path = cpath;
     cc.listen.workers = 2;
     cc.worker_endpoints = wpaths;
@@ -280,32 +280,6 @@ TEST_F(Cluster, ClusterWorkerDeathPropagatesAsError) {
   EXPECT_TRUE(client::ok(c.request(msg_type::ping, 0)));
 }
 
-// With the admission threshold at zero, every check-class leg is delayed and
-// finally shed: the health probe always reports at least its own in-flight
-// slot, so the gate deterministically refuses.
-TEST_F(Cluster, ClusterBackpressureShedsWhenOverloaded) {
-  coord_config tweak;
-  tweak.max_worker_depth = 0;
-  tweak.admission_retries = 1;
-  tweak.backoff_ms = 1;
-  start_cluster(manual_bands(), tweak);
-
-  client c;
-  c.connect(cpath);
-  const frame chk = c.request(msg_type::check, 0);
-  EXPECT_FALSE(client::ok(chk));
-  EXPECT_NE(chk.payload.find("busy"), std::string::npos) << chk.payload;
-  std::uint64_t shed = 0, delayed = 0;
-  for (const worker_link_stats& w : coord->worker_stats()) {
-    shed += w.shed;
-    delayed += w.delayed;
-  }
-  EXPECT_GE(shed, 1u);
-  EXPECT_GE(delayed, 1u);
-  // Ungated verbs still pass.
-  EXPECT_TRUE(client::ok(c.request(msg_type::stats, 0)));
-}
-
 TEST_F(Cluster, ClusterStatsReportPerShardRouting) {
   start_cluster(manual_bands());
   client c;
@@ -357,13 +331,15 @@ struct check_rendezvous {
   int arrived = 0;
 };
 
-// A stand-in worker speaking raw frames: it answers ping, shard and health
-// itself and replies to `check` only once both fakes have received their
-// `check` frame. The wait is bounded: a coordinator that runs its legs one
-// at a time gets "error stalled" instead of hanging the test.
+// A stand-in worker speaking raw frames: it answers ping and shard itself
+// and replies to `check` only once both fakes have received their `check`
+// frame. The wait is bounded: a coordinator that runs its legs one at a time
+// gets "error stalled" instead of hanging the test. A `busy` fake answers
+// `check` at once with "error busy", as a worker whose queue is full does.
 class fake_worker {
  public:
-  fake_worker(const std::string& path, check_rendezvous& rv) : rv_(rv) {
+  fake_worker(const std::string& path, check_rendezvous& rv, bool busy = false)
+      : rv_(rv), busy_(busy) {
     lis_.open(path);
     thread_ = std::thread([this] { run(); });
   }
@@ -407,8 +383,8 @@ class fake_worker {
     switch (static_cast<msg_type>(f.header.type)) {
       case msg_type::ping: return "ok pong";
       case msg_type::shard: return "ok shard";
-      case msg_type::health: return "ok depth 0 inflight 0";
       case msg_type::check: {
+        if (busy_) return "error busy";
         std::unique_lock lk(rv_.mu);
         ++rv_.arrived;
         rv_.cv.notify_all();
@@ -421,6 +397,7 @@ class fake_worker {
   }
 
   check_rendezvous& rv_;
+  const bool busy_;
   transport::listener lis_;
   std::mutex mu_;
   bool stop_ = false;
@@ -457,6 +434,38 @@ TEST_F(Cluster, ScatterLegsRunConcurrently) {
     EXPECT_EQ(w.legs, 1u);
     EXPECT_TRUE(w.healthy);
   }
+}
+
+// A worker whose own queue is full answers "error busy": the coordinator
+// fails that leg, the client sees the refusal, and the link counts it shed.
+TEST_F(Cluster, ClusterBackpressureShedsWhenOverloaded) {
+  const std::string stem =
+      "/tmp/odrc_cl_" + std::to_string(::getpid()) + "_" + std::to_string(counter_.fetch_add(1));
+  check_rendezvous rv;
+  fake_worker f0(stem + "_f0.sock", rv, true);
+  fake_worker f1(stem + "_f1.sock", rv, true);
+
+  coord_config cc;
+  cc.listen.socket_path = stem + "_coord.sock";
+  cc.listen.workers = 2;
+  cc.worker_endpoints = {f0.endpoint(), f1.endpoint()};
+  cc.bands = manual_bands();
+  coord = std::make_unique<coordinator>(std::move(cc));
+  coord->start();
+
+  client c;
+  c.connect(stem + "_coord.sock");
+  const frame chk = c.request(msg_type::check, 0);
+  EXPECT_FALSE(client::ok(chk));
+  EXPECT_NE(chk.payload.find("busy"), std::string::npos) << chk.payload;
+  std::uint64_t shed = 0;
+  for (const worker_link_stats& w : coord->worker_stats()) {
+    shed += w.shed;
+    EXPECT_TRUE(w.healthy);
+  }
+  EXPECT_GE(shed, 1u);
+  // The coordinator's own verbs still answer.
+  EXPECT_TRUE(client::ok(c.request(msg_type::stats, 0)));
 }
 
 // A sharded session's full check is the band-filtered subset of the

@@ -1,5 +1,5 @@
-// Tests for the remaining infrastructure pieces: morton codes, thread pool,
-// timer/profiler, logger, execution traits.
+// Tests for the remaining infrastructure pieces: thread pool, timer/profiler,
+// logger, execution traits.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,35 +8,11 @@
 
 #include "infra/execution.hpp"
 #include "infra/logger.hpp"
-#include "infra/morton.hpp"
 #include "infra/thread_pool.hpp"
 #include "infra/timer.hpp"
 
 namespace odrc {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Morton codes
-// ---------------------------------------------------------------------------
-
-TEST(Morton, SpreadInterleaves) {
-  EXPECT_EQ(morton_spread(0b1), 0b1u);
-  EXPECT_EQ(morton_spread(0b11), 0b101u);
-  EXPECT_EQ(morton_spread(0b111), 0b10101u);
-}
-
-TEST(Morton, EncodeOrdersQuadrants) {
-  // Z-order: within a 2x2 block, (0,0) < (1,0) < (0,1) < (1,1).
-  EXPECT_LT(morton_encode(0, 0), morton_encode(1, 0));
-  EXPECT_LT(morton_encode(1, 0), morton_encode(0, 1));
-  EXPECT_LT(morton_encode(0, 1), morton_encode(1, 1));
-}
-
-TEST(Morton, NegativeCoordinatesOrderCorrectly) {
-  EXPECT_LT(morton_code(point{-100, -100}), morton_code(point{100, 100}));
-  EXPECT_EQ(morton_code(rect{}), 0u);
-  EXPECT_NE(morton_code(rect{0, 0, 10, 10}), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // thread pool

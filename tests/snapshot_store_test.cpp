@@ -233,6 +233,77 @@ TEST(SnapshotCow, EditRecheckMatchesColdSession) {
   EXPECT_EQ(slurp(path), file_before);
 }
 
+// An instance edit drops only the flat instance lists of the layers in the
+// moved child's subtree: another layer's list is neither rebuilt nor cut off
+// from the blob, a subtree layer's list is rebuilt from the edited library,
+// and the checks over the edited snapshot equal a fresh one's.
+TEST(SnapshotCow, InstanceEditKeepsOtherLayersFrozen) {
+  const db::library lib = make_lib();
+  const std::string path = temp_snap("inst_layers");
+  build_snapshot_file(lib, path);
+  const auto fs = frozen_snapshot::load(path);
+  db::library lib2 = fs->make_library();
+  layout_snapshot snap(lib2, fs);
+
+  // A top-level reference whose subtree misses a layer the top has placements on.
+  const db::cell_id top = lib2.top_cells().front();
+  const std::size_t refs = lib2.at(top).refs().size();
+  std::size_t ref = 0;
+  db::layer_t inside = rules::any_layer, outside = rules::any_layer;  // any_layer: none
+  for (; ref < refs; ++ref) {
+    const db::cell_id child = lib2.at(top).refs()[ref].target;
+    inside = outside = rules::any_layer;
+    for (const db::layer_t l : snap.index().layers()) {
+      if (snap.index().cell_has_layer(child, l)) {
+        inside = l;
+      } else if (!snap.instances(top, l).placed.empty()) {
+        outside = l;
+      }
+    }
+    if (inside != rules::any_layer && outside != rules::any_layer) break;
+  }
+  ASSERT_LT(ref, refs);
+
+  const instance_set& kept = snap.instances(top, outside);
+  const db::placed_cell* kept_data = kept.placed.data();
+  ASSERT_TRUE(kept.placed.frozen());
+  ASSERT_TRUE(snap.instances(top, inside).placed.frozen());
+
+  const std::string script =
+      "move_inst " + lib2.at(top).name() + ' ' + std::to_string(ref) + " 40 0\n";
+  (void)serve::apply_edits(lib2, snap, serve::parse_edit_script(script));
+
+  const instance_set& after = snap.instances(top, outside);
+  EXPECT_EQ(&after, &kept);
+  EXPECT_EQ(after.placed.data(), kept_data);
+  EXPECT_TRUE(after.placed.frozen());
+  EXPECT_FALSE(snap.instances(top, inside).placed.frozen());
+
+  std::vector<exec_plan> plans;
+  for (const rules::rule& r : mixed_deck()) plans.push_back(compile_plan(r));
+  drc_engine eng;
+  eng.add_rules(mixed_deck());
+  layout_snapshot fresh(lib2);
+  const deck_report edited = eng.check_deck(plans, snap);
+  const deck_report expect = eng.check_deck(plans, fresh);
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(norm(edited.per_rule[i].violations), norm(expect.per_rule[i].violations))
+        << "rule " << i;
+  }
+
+  // The same edit through a frozen-backed session: its recheck store equals
+  // a fresh check of the edited library, and the edit changed that store.
+  serve::session frozen(fs, fs->make_library(), mixed_deck());
+  frozen.check_full();
+  const std::vector<std::string> before = frozen.keys();
+  frozen.apply(serve::parse_edit_script(script));
+  frozen.recheck();
+  serve::session cold(lib2, mixed_deck());
+  cold.check_full();
+  EXPECT_EQ(frozen.keys(), cold.keys());
+  EXPECT_NE(cold.keys(), before);
+}
+
 // Engine-level overlay accounting: invalidating a master masks its frozen
 // entries (overlay_entries grows) and subsequent region checks still agree
 // with a fresh snapshot over the edited library.
@@ -255,7 +326,7 @@ TEST(SnapshotCow, InvalidateMasksFrozenEntries) {
   const db::cell_id top = lib2.top_cells().front();
   lib2.at(top).add_rect(layers::M1, {900000, 900000, 900010, 900010});
   snap.invalidate_master(top);
-  snap.invalidate_instances();
+  snap.invalidate_instances(std::vector<db::layer_t>{layers::M1});
   EXPECT_GT(snap.overlay_entries(), 0u);
 
   layout_snapshot fresh(lib2);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -50,6 +51,59 @@ TEST(ViolationDb, WindowQueryMatchesBruteForce) {
   for (const std::size_t i : hits) {
     EXPECT_TRUE(window.overlaps(marker_box(db.entries()[i].v)));
   }
+}
+
+// in_window stays the ascending brute-force answer while the store churns
+// through the mutations a session recheck performs: erase_touching purges,
+// add_unique inserts.
+TEST(ViolationDb, InWindowMatchesBruteForceUnderChurn) {
+  std::mt19937 rng(42);
+  std::uniform_int_distribution<coord_t> pos(0, 1500);
+  violation_db db("churn");
+
+  std::vector<checks::violation> seed;
+  for (int i = 0; i < 300; ++i) seed.push_back(at(pos(rng), pos(rng)));
+  db.add("R.A", seed);
+  db.add("R.B", std::vector<checks::violation>{at(10, 10), at(700, 700)});
+
+  const auto check_windows = [&](const char* when) {
+    for (int q = 0; q < 40; ++q) {
+      const coord_t x = pos(rng), y = pos(rng);
+      const rect w{x, y, static_cast<coord_t>(x + 250), static_cast<coord_t>(y + 250)};
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < db.size(); ++i) {
+        if (w.overlaps(marker_box(db.entries()[i].v))) expected.push_back(i);
+      }
+      EXPECT_EQ(db.in_window(w), expected) << when << " window " << q;
+    }
+  };
+
+  check_windows("after bulk add");
+  for (int round = 0; round < 5; ++round) {
+    const coord_t x = pos(rng), y = pos(rng);
+    db.erase_touching("R.A", rect{x, y, static_cast<coord_t>(x + 400), static_cast<coord_t>(y + 400)});
+    for (int i = 0; i < 40; ++i) db.add_unique("R.A", at(pos(rng), pos(rng)));
+    check_windows("after churn round");
+  }
+  EXPECT_EQ(db.keys().size(), db.size());
+}
+
+TEST(ViolationDb, KeyExtentRoundTrip) {
+  const checks::violation v = at(123, -456);
+  const std::string key = violation_key("M1.S.1", v);
+  const std::optional<rect> ext = key_extent(key);
+  ASSERT_TRUE(ext.has_value());
+  EXPECT_EQ(*ext, marker_box(v));
+
+  // Rule names may contain '|' — the parser anchors from the right.
+  const std::string odd = violation_key("weird|rule", v);
+  const std::optional<rect> ext2 = key_extent(odd);
+  ASSERT_TRUE(ext2.has_value());
+  EXPECT_EQ(*ext2, marker_box(v));
+
+  EXPECT_FALSE(key_extent("not a key").has_value());
+  EXPECT_FALSE(key_extent("a|b|c").has_value());
+  EXPECT_FALSE(key_extent("").has_value());
 }
 
 TEST(ViolationDb, IndexInvalidatedByAdd) {
