@@ -31,7 +31,6 @@ const config_row configs[] = {
     {"no-memo", {.enable_memoization = false}},
     {"no-both", {.enable_partition = false, .enable_memoization = false}},
     {"sort-merge", {.merge = partition::merge_strategy::sort}},
-    {"host-par", {.host_parallel = true}},
 };
 
 }  // namespace

@@ -218,7 +218,8 @@ wait $srv_pid
 # Cluster phase (DESIGN.md §10): `odrc coord` spawns a band-sharded worker
 # fleet — every worker mmap-boots the SAME .snap, one physical snapshot copy
 # — and the scatter-gathered check must reconcile to exactly the
-# single-process total (seam straddlers deduplicated, none dropped).
+# single-process total (seam straddlers deduplicated, none dropped). After
+# shutdown the workers' temp socket directory must be gone.
 # ---------------------------------------------------------------------------
 csock="$work/coord.sock"
 
@@ -248,6 +249,10 @@ grep -Eq "^shard 0 .*legs [1-9]" <<<"$stats_out" || { echo "FAIL: shard 0 served
 cli3 shutdown | grep -q "ok shutting down"
 wait $srv_pid
 grep -q "coordinating 2 shard" "$work/coord.log" || { echo "FAIL: coordinator did not run 2 shards"; cat "$work/coord.log"; exit 1; }
+# The spawned workers' socket directory goes away with the coordinator.
+coord_dir=$(sed -n 's|^ *shard 0 -> \(.*\)/worker0\.sock .*|\1|p' "$work/coord.log")
+[[ -n "$coord_dir" ]] || { echo "FAIL: no shard 0 socket line in coord.log"; cat "$work/coord.log"; exit 1; }
+[[ ! -e "$coord_dir" ]] || { echo "FAIL: coordinator left $coord_dir behind"; exit 1; }
 
 # Under a sanitizer build a forked worker's report lands in coord.log
 # without failing any request; no server log may carry one.

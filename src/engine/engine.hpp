@@ -72,13 +72,6 @@ struct engine_config {
   /// CUDA streams to overlap copies, kernels and host preprocessing).
   std::size_t pipeline_depth = 2;
 
-  /// Sequential-mode host multithreading: run independent clips on the
-  /// worker pool (the partition guarantees clip independence — the paper's
-  /// "check pruning and/or parallel processing"). Memo tables are shared
-  /// behind locks; results are identical to the serial order up to
-  /// violation ordering.
-  bool host_parallel = false;
-
   /// SIMD dispatch policy for the hot kernels (simd.hpp): `automatic` probes
   /// CPUID (overridable per-process via ODRC_SIMD=off|avx2|auto), `off`
   /// forces the scalar path (ablation), `avx2` forces AVX2 where the CPU has
@@ -210,10 +203,11 @@ class drc_engine {
 
   /// Task parallelism (paper Section I: "different design rules can be
   /// checked concurrently"): run the deck's plan groups as independent tasks
-  /// on the host worker pool. Each task owns its memo tables and (in
-  /// parallel mode) device streams; all tasks share one layout snapshot,
-  /// whose caches are thread-safe. The merged report equals check(lib) up to
-  /// ordering.
+  /// on the host worker pool — the engine's one host-parallel path. Each
+  /// task owns its memo tables and (in parallel mode) device streams; a
+  /// group's clips run in order inside its task, so the memos take no lock.
+  /// All tasks share one layout snapshot, whose caches are thread-safe. The
+  /// merged report equals check(lib) up to ordering.
   check_report check_concurrent(const db::library& lib);
 
   /// Run a single rule over a fresh snapshot: the plan-level check_deck over

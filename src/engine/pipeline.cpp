@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <mutex>
 
-#include "infra/thread_pool.hpp"
 #include "infra/trace.hpp"
 
 namespace odrc::engine {
@@ -148,8 +146,7 @@ void place(std::span<const violation> local, const transform& t, check_report& r
 // parallel mode. Magnification scales distances and areas, so a magnified
 // placement is checked directly in the top frame, except for custom and
 // rectilinear plans, whose verdicts it preserves. A split object (one polygon
-// of a single-use master) is checked in the master frame and placed. Safe to
-// call from concurrent clip tasks.
+// of a single-use master) is checked in the master frame and placed.
 class object_evaluator {
  public:
   object_evaluator(const engine_config& cfg, layout_snapshot& snap,
@@ -160,7 +157,7 @@ class object_evaluator {
         plans_(plans),
         layer_(layer),
         stream_(stream),
-        memos_(std::make_unique<memo_slot[]>(plans.size())) {}
+        memos_(plans.size()) {}
 
   // Append every plan's violations on object `in`, in top coordinates, to
   // pr[k] (parallel to the plans).
@@ -229,11 +226,8 @@ class object_evaluator {
         place(local, in.t, pr[k]);
         continue;
       }
-      const std::vector<violation>* local = nullptr;
-      if (cfg_.enable_memoization) {
-        std::lock_guard lk(memos_[k].mu);
-        local = memos_[k].memo.find(in.master);
-      }
+      const std::vector<violation>* local =
+          cfg_.enable_memoization ? memos_[k].find(in.master) : nullptr;
       if (local) {
         ++pr[k].prune.intra_reused;
       } else {
@@ -244,20 +238,13 @@ class object_evaluator {
           place(computed, in.t, pr[k]);
           continue;
         }
-        std::lock_guard lk(memos_[k].mu);
-        const std::vector<violation>* existing = memos_[k].memo.find(in.master);
-        local = existing ? existing : &memos_[k].memo.store(in.master, std::move(computed));
+        local = &memos_[k].store(in.master, std::move(computed));
       }
       place(*local, in.t, pr[k]);
     }
   }
 
  private:
-  struct memo_slot {
-    intra_memo memo;
-    std::mutex mu;
-  };
-
   // One plan's violations on a whole master, in its own frame. The device
   // width kernel reads the master's packed edges straight from the snapshot
   // cache (poly ids are view-local indices, group 0).
@@ -284,7 +271,7 @@ class object_evaluator {
   std::span<const exec_plan* const> plans_;
   layer_t layer_;
   device::stream* stream_;  ///< parallel mode: width plans run on the device
-  std::unique_ptr<memo_slot[]> memos_;
+  std::vector<intra_memo> memos_;
 };
 
 std::vector<const exec_plan*> member_plans(std::span<const exec_plan> plans,
@@ -366,13 +353,6 @@ group_report run_intra_group(const engine_config& cfg, stream_pool& streams,
 // Pair groups
 // ---------------------------------------------------------------------------
 
-// Per-plan pair memo with its lock. Built once per run_pair_group call;
-// never resized (mutexes are not movable).
-struct pair_slot {
-  pair_memo<std::vector<violation>> pairs;
-  std::mutex pairs_mu;
-};
-
 // OR into `flags` (one per polygon of `pa`) which of pa's polygons lie inside
 // some polygon of `pb`; both sets in one common frame.
 void mark_contained(const poly_set& pa, const poly_set& pb, std::span<std::uint8_t> flags) {
@@ -406,16 +386,14 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
 
   const db::library& lib = snap.lib();
   view_cache& views = snap.views();
-  const auto memos = std::make_unique<pair_slot[]>(nplans);
+  std::vector<pair_memo<std::vector<violation>>> memos(nplans);
   // Spacing notches and same-object polygon pairs (sequential mode; the
   // device kernel sees them in parallel mode).
   object_evaluator intra(cfg, snap, mp, g.layer1, nullptr);
   // Containment flags per pair_key (plan-independent: one memo per group).
   pair_memo<std::vector<std::uint8_t>> contain_memo;
-  std::mutex contain_mu;
   // Whole-clip results per clip content (whole-clip groups only).
   clip_memo whole_clips;
-  std::mutex clip_mu;
 
   // Collect and partition every top cell first: a whole-clip scope joins
   // clips of every top. Whole-clip groups collect every object: a derived
@@ -480,7 +458,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     // plan-independent (containment is pure geometry, no distance), so one
     // array serves every member plan. Only the inner object's own clip
     // writes its flags (the partition puts every object in exactly one
-    // clip), so concurrent clips need no lock.
+    // clip).
     std::vector<std::size_t> first;
     std::vector<std::uint8_t> contained;
     if (track) {
@@ -551,9 +529,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     }
 
     // Host work over the clips: the sequential branch's checks, and parallel
-    // mode's containment. Clips are mutually independent (partition
-    // soundness), so under cfg.host_parallel the sequential branch runs them
-    // on the worker pool.
+    // mode's containment.
 
     // Candidate object pairs of one clip from the sweepline (Fig. 3), as
     // (a_insts index, index of the other object: b_insts for two-layer
@@ -585,13 +561,10 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
 
     // Evaluate one candidate object pair: every member plan's predicate
     // (sequential mode only — in parallel mode the device already did) and,
-    // for enclosure groups, the containment of a's polygons by b's. Memo
-    // tables are shared behind locks; unordered_map references are
-    // node-stable, so a reference obtained under the lock stays valid after
-    // it is released — but an existing entry is never overwritten (another
-    // thread may be reading it).
+    // for enclosure groups, the containment of a's polygons by b's.
     const bool check_edges = cfg.run_mode == mode::sequential;
-    auto run_pair = [&](std::uint32_t ia, std::uint32_t ib, std::span<check_report> pr) {
+    const std::span<check_report> pr = out.per_rule;
+    auto run_pair = [&](std::uint32_t ia, std::uint32_t ib) {
       const inst& a = a_insts[ia];
       const inst& b = g.two_layer ? b_insts[ib] : a_insts[ib];
       const layer_t lb = g.two_layer ? g.layer2 : g.layer1;
@@ -613,11 +586,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
           pb = transformed_polys(lib.at(b.master), views.get(b.master, lb), rel);
         };
         for (std::size_t k = 0; check_edges && k < nplans; ++k) {
-          const std::vector<violation>* res = nullptr;
-          {
-            std::lock_guard lk(memos[k].pairs_mu);
-            res = memos[k].pairs.find(key);
-          }
+          const std::vector<violation>* res = memos[k].find(key);
           if (res) {
             ++pr[k].prune.pairs_reused;
           } else {
@@ -631,27 +600,19 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
                                   computed, pr[k].check_stats);
               }
             }
-            std::lock_guard lk(memos[k].pairs_mu);
-            const std::vector<violation>* existing = memos[k].pairs.find(key);
-            res = existing ? existing : &memos[k].pairs.store(key, std::move(computed));
+            res = &memos[k].store(key, std::move(computed));
           }
           for (const violation& lv : *res) {
             pr[k].violations.push_back(transformed(lv, a.t));
           }
         }
         if (contain) {
-          const std::vector<std::uint8_t>* res = nullptr;
-          {
-            std::lock_guard lk(contain_mu);
-            res = contain_memo.find(key);
-          }
+          const std::vector<std::uint8_t>* res = contain_memo.find(key);
           if (!res) {
             geometry();
             std::vector<std::uint8_t> computed(pa->polys.size(), 0);
             mark_contained(*pa, *pb, computed);
-            std::lock_guard lk(contain_mu);
-            const std::vector<std::uint8_t>* existing = contain_memo.find(key);
-            res = existing ? existing : &contain_memo.store(key, std::move(computed));
+            res = &contain_memo.store(key, std::move(computed));
           }
           for (std::size_t q = 0; q < flags.size(); ++q) flags[q] |= (*res)[q];
         }
@@ -681,8 +642,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
     // clip whose content (clip_key) an earlier clip already evaluated is an
     // exact translation of it and replays that result, stored in the anchor
     // frame (the clip extent's lower-left corner at the origin).
-    auto run_whole_clip = [&](const partition::clip& clip, check_report& sh,
-                              std::span<check_report> pr) {
+    auto run_whole_clip = [&](const partition::clip& clip) {
       const rect ext = clip_extent(clip, mbrs);
       const point anchor{ext.x_min, ext.y_min};
       clip_key key;
@@ -696,18 +656,13 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
           key.push_back({!primary, in.master, in.poly_index, rel});
         }
         std::ranges::sort(key);
-        const clip_memo::value* res = nullptr;
-        {
-          std::lock_guard lk(clip_mu);
-          res = whole_clips.find(key);
-        }
-        if (res) {
-          ++sh.prune.clips_reused;
+        if (const clip_memo::value* res = whole_clips.find(key)) {
+          ++shared.prune.clips_reused;
           for (std::size_t k = 0; k < nplans; ++k) place((*res)[k], transform{anchor}, pr[k]);
           return;
         }
       }
-      ++sh.prune.clips_computed;
+      ++shared.prune.clips_computed;
       trace::span cts("pipeline", "clip", "members",
                       static_cast<std::int64_t>(clip.members.size()));
       std::vector<polygon> a, b;
@@ -728,16 +683,12 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
           local[k].push_back(transformed(pr[k].violations[i], transform{point{} - anchor}));
         }
       }
-      if (cfg.enable_memoization) {
-        std::lock_guard lk(clip_mu);
-        whole_clips.store(std::move(key), std::move(local));
-      }
+      if (cfg.enable_memoization) whole_clips.store(std::move(key), std::move(local));
     };
 
-    auto process_clip = [&](const partition::clip& clip, check_report& sh,
-                            std::span<check_report> pr) {
+    auto process_clip = [&](const partition::clip& clip) {
       if (g.whole_clip) {
-        run_whole_clip(clip, sh, pr);
+        run_whole_clip(clip);
         return;
       }
       trace::span cts("pipeline", "clip", "members",
@@ -749,17 +700,17 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       // Candidate object pairs from the sweepline (Fig. 3).
       std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
       {
-        auto t = sh.phases.measure("sweepline");
+        auto t = shared.phases.measure("sweepline");
         trace::span sts("pipeline", "sweepline", "members",
                         static_cast<std::int64_t>(clip.members.size()));
-        pairs = clip_pairs(clip, sh.sweep_stats);
+        pairs = clip_pairs(clip, shared.sweep_stats);
         if (!g.two_layer) {
-          sh.prune.pairs_pruned_mbr +=
+          shared.prune.pairs_pruned_mbr +=
               clip.members.size() * (clip.members.size() - 1) / 2 - pairs.size();
         }
       }
 
-      for (const auto& [ia, ib] : pairs) run_pair(ia, ib, pr);
+      for (const auto& [ia, ib] : pairs) run_pair(ia, ib);
     };
 
     std::vector<const partition::clip*> clips;
@@ -777,27 +728,12 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         auto t = shared.phases.measure("edge_check");
         for (const partition::clip* c : clips) {
           for (const auto& [ia, ib] : clip_pairs(*c, shared.sweep_stats)) {
-            run_pair(ia, ib, out.per_rule);
+            run_pair(ia, ib);
           }
         }
       }
-    } else if (cfg.host_parallel && clips.size() > 1) {
-      // Per-clip local reports, merged afterwards: clip tasks never write a
-      // shared report concurrently.
-      std::vector<check_report> local_shared(clips.size());
-      std::vector<std::vector<check_report>> local_rules(clips.size());
-      for (auto& lr : local_rules) lr.resize(nplans);
-      thread_pool::global().parallel_for(0, clips.size(), [&](std::size_t i) {
-        process_clip(*clips[i], local_shared[i], local_rules[i]);
-      });
-      for (std::size_t i = 0; i < clips.size(); ++i) {
-        shared.merge_from(std::move(local_shared[i]));
-        for (std::size_t k = 0; k < nplans; ++k) {
-          out.per_rule[k].merge_from(std::move(local_rules[i][k]));
-        }
-      }
     } else {
-      for (const partition::clip* c : clips) process_clip(*c, shared, out.per_rule);
+      for (const partition::clip* c : clips) process_clip(*c);
     }
 
     if (track) {

@@ -39,7 +39,7 @@
 // NOT thread-safe against concurrent readers: a session must serialize edits
 // against checks (the serve session mutex does). All read caches remain
 // thread-safe (shared_mutex, node-stable unordered_map values):
-// `check_concurrent` tasks and `host_parallel` clip tasks share one snapshot.
+// `check_concurrent`'s group tasks share one snapshot.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +138,7 @@ class frozen_backing {
 // ---------------------------------------------------------------------------
 
 /// Cache of layer views per (master, layer) for one check run. Thread-safe:
-/// host_parallel clip tasks and pipelined pack stages hit it concurrently.
+/// `check_concurrent`'s group tasks hit it concurrently.
 /// References are stable (unordered_map nodes) so a caller may keep one
 /// across later insertions.
 class view_cache {

@@ -169,10 +169,7 @@ class clip_memo {
     return it == map_.end() ? nullptr : &it->second;
   }
 
-  /// Keeps an existing entry (another clip task may be reading it).
-  const value& store(clip_key k, value v) {
-    return map_.try_emplace(std::move(k), std::move(v)).first->second;
-  }
+  const value& store(clip_key k, value v) { return map_[std::move(k)] = std::move(v); }
 
  private:
   std::map<clip_key, value> map_;

@@ -35,8 +35,8 @@ class timer {
 /// Fig. 4 of the paper breaks a sequential space check into: "partition",
 /// "sweepline", and "edge_check".
 ///
-/// Thread-safe: engine_config::host_parallel clip tasks and check_concurrent
-/// rule tasks add phases from worker threads, so every access to the map is
+/// Thread-safe: worker threads (drc_engine::check_concurrent's group tasks)
+/// may add phases, so every access to the map is
 /// serialized on an internal mutex. phases() therefore returns a snapshot by
 /// value — holding a reference into a concurrently mutated map was the bug.
 class phase_profiler {

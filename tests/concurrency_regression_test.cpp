@@ -1,9 +1,10 @@
 // Regression tests for the thread-safety fixes: phase_profiler is hammered
 // from many threads (it used to hand out references into a map that other
-// threads were mutating), and the engine's two multithreaded execution modes
-// (host_parallel clip tasks, check_concurrent rule tasks) run with tracing
-// enabled. These are the tests the CI thread-sanitizer job exists for: under
-// TSan, the pre-fix profiler and any racy instrumentation fail here.
+// threads were mutating), and the engine's one multithreaded execution path
+// (check_concurrent's group tasks, which share one layout snapshot) runs with
+// tracing enabled. These are the tests the CI thread-sanitizer job exists
+// for: under TSan, the pre-fix profiler and any racy instrumentation fail
+// here.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -99,16 +100,6 @@ class ConcurrentDecks : public ::testing::Test {
   std::vector<rules::rule> deck_;
 };
 
-TEST_F(ConcurrentDecks, HostParallelDeckMatchesSerial) {
-  drc_engine serial;
-  serial.add_rules(deck_);
-  const auto want = norm(serial.check(gen_.lib).violations);
-
-  drc_engine parallel({.host_parallel = true});
-  parallel.add_rules(deck_);
-  EXPECT_EQ(norm(parallel.check(gen_.lib).violations), want);
-}
-
 TEST_F(ConcurrentDecks, ConcurrentRuleTasksMatchSerial) {
   drc_engine serial;
   serial.add_rules(deck_);
@@ -120,13 +111,13 @@ TEST_F(ConcurrentDecks, ConcurrentRuleTasksMatchSerial) {
 }
 
 TEST_F(ConcurrentDecks, TracingStaysSoundUnderConcurrency) {
-  // Both multithreaded modes with the recorder live: worker threads emit
-  // spans and read the merged reports' profilers concurrently.
+  // Group tasks with the recorder live: worker threads emit spans and read
+  // the merged reports' profilers concurrently.
   trace::recorder& rec = trace::recorder::instance();
   rec.enable();
-  drc_engine parallel({.host_parallel = true});
-  parallel.add_rules(deck_);
-  const auto r1 = parallel.check(gen_.lib);
+  drc_engine serial;
+  serial.add_rules(deck_);
+  const auto r1 = serial.check(gen_.lib);
   drc_engine conc;
   conc.add_rules(deck_);
   const auto r2 = conc.check_concurrent(gen_.lib);

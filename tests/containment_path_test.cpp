@@ -55,10 +55,6 @@ TEST(ContainmentCandidates, ParEnumeratesSeqPairs) {
   }
 }
 
-TEST(ContainmentCandidates, HostParallelEnumeratesSeqPairs) {
-  expect_same_candidates(make_layout("jpeg", 0.25).lib, {.host_parallel = true});
-}
-
 // Doubling the flat polygon count (workload scale grows both die sides, so
 // x sqrt(2)) at most 2.5x's the candidate pairs.
 TEST(ContainmentCandidates, PairsGrowLinearlyWithPolygonCount) {

@@ -194,12 +194,6 @@ TEST(DeckBatching, AblationsComposeWithBatching) {
   drc_engine b(no_memo);
   b.add_rules(deck);
   EXPECT_EQ(expected, norm(b.check(lib).violations));
-
-  engine_config host_par = base;
-  host_par.host_parallel = true;
-  drc_engine c(host_par);
-  c.add_rules(deck);
-  EXPECT_EQ(expected, norm(c.check(lib).violations));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Adversarial property test: random hierarchical layouts (random masters,
 // nested references with rotations/reflections, one magnified reference,
-// random top-level shapes) are checked by the engine (seq, par and seq with
-// host_parallel) against an INDEPENDENT brute-force oracle that flattens by
+// random top-level shapes) are checked by the engine (seq and par, rule by
+// rule and as one deck run on check_concurrent's group tasks) against an
+// INDEPENDENT brute-force oracle that flattens by
 // explicit transform application and tests every edge pair (every polygon
 // pair for enclosure containment) with the shared predicates — no sweepline,
 // no partition, no memoization, no MBR filters. Any transform, partitioning,
@@ -239,7 +240,10 @@ TEST_P(RandomLayout, EngineMatchesOracle) {
     const db::library lib = random_library(rng);
     drc_engine seq({.run_mode = engine::mode::sequential});
     drc_engine par({.run_mode = engine::mode::parallel});
-    drc_engine host_par({.run_mode = engine::mode::sequential, .host_parallel = true});
+    // The spacing, width and enclosure rules of both distances as one deck,
+    // with the oracle's violations of every rule concatenated.
+    std::vector<rules::rule> deck;
+    std::vector<violation> want_deck;
 
     for (const coord_t d : {coord_t{12}, coord_t{25}}) {
       const auto want_s = norm(oracle_spacing(lib, 1, d));
@@ -280,8 +284,21 @@ TEST_P(RandomLayout, EngineMatchesOracle) {
           << "seq enclosure d=" << d << " iter=" << iter;
       EXPECT_EQ(norm(par.run_enclosure(lib, 2, 1, d).violations), want_e)
           << "par enclosure d=" << d << " iter=" << iter;
-      EXPECT_EQ(norm(host_par.run_enclosure(lib, 2, 1, d).violations), want_e)
-          << "host_parallel enclosure d=" << d << " iter=" << iter;
+
+      deck.push_back(rules::layer(1).spacing().greater_than(d));
+      deck.push_back(rules::layer(1).width().greater_than(d));
+      deck.push_back(rules::layer(2).enclosed_by(1).greater_than(d));
+      for (const auto* w : {&want_s, &want_w, &want_e}) {
+        want_deck.insert(want_deck.end(), w->begin(), w->end());
+      }
+    }
+
+    // The deck on check_concurrent's group tasks, which share one snapshot.
+    for (const engine::mode m : {engine::mode::sequential, engine::mode::parallel}) {
+      drc_engine conc({.run_mode = m});
+      conc.add_rules(deck);
+      EXPECT_EQ(norm(conc.check_concurrent(lib).violations), norm(want_deck))
+          << "check_concurrent mode=" << static_cast<int>(m) << " iter=" << iter;
     }
   }
 }
@@ -295,7 +312,6 @@ TEST_P(RandomLayout, DerivedAndColoringMatchWholeLayerOracle) {
     const db::library lib = random_library(rng);
     drc_engine seq({.run_mode = engine::mode::sequential});
     drc_engine par({.run_mode = engine::mode::parallel});
-    drc_engine host_par({.run_mode = engine::mode::sequential, .host_parallel = true});
 
     const std::vector<rules::rule> deck = {
         rules::layer(2).overlap_with(1).area_at_least(64),
@@ -304,13 +320,13 @@ TEST_P(RandomLayout, DerivedAndColoringMatchWholeLayerOracle) {
         rules::layer(1).two_colorable(90),
         rules::layer(2).two_colorable(150),
     };
+    std::vector<violation> want_deck;
     for (std::size_t ri = 0; ri < deck.size(); ++ri) {
       const rules::rule& r = deck[ri];
       const auto want = norm(oracle_shapes(lib, r));
+      want_deck.insert(want_deck.end(), want.begin(), want.end());
       EXPECT_EQ(norm(seq.check(lib, r).violations), want) << "seq rule " << ri << " iter=" << iter;
       EXPECT_EQ(norm(par.check(lib, r).violations), want) << "par rule " << ri << " iter=" << iter;
-      EXPECT_EQ(norm(host_par.check(lib, r).violations), want)
-          << "host_parallel rule " << ri << " iter=" << iter;
       // Random windows, and small windows at a random point of a violation's
       // bounding box — often off the region's shapes yet on its edges.
       for (int k = 0; k < 6; ++k) {
@@ -328,6 +344,12 @@ TEST_P(RandomLayout, DerivedAndColoringMatchWholeLayerOracle) {
         EXPECT_EQ(norm(seq.check_region(lib, r, w).violations), norm(in_window(want, w)))
             << "window rule " << ri << " iter=" << iter;
       }
+    }
+    for (const engine::mode m : {engine::mode::sequential, engine::mode::parallel}) {
+      drc_engine conc({.run_mode = m});
+      conc.add_rules(deck);
+      EXPECT_EQ(norm(conc.check_concurrent(lib).violations), norm(want_deck))
+          << "check_concurrent mode=" << static_cast<int>(m) << " iter=" << iter;
     }
   }
 }
@@ -446,8 +468,7 @@ std::vector<rules::rule> clip_array_deck() {
 
 // Every clip memo setting of `cfg` against the whole-layer oracle on
 // clip_array_library: the memo replays 33 of the 36 clips per group (one
-// distinct clip per copy; races may duplicate a computation under
-// host_parallel), and with the memo off it replays none.
+// distinct clip per copy), and with the memo off it replays none.
 void expect_clip_memo_exact(engine_config cfg) {
   const db::library lib = clip_array_library();
   const int m = static_cast<int>(cfg.run_mode);
@@ -469,9 +490,6 @@ void expect_clip_memo_exact(engine_config cfg) {
         EXPECT_EQ(rep.prune.clips_reused, 0u);
         EXPECT_EQ(rep.prune.clips_computed, 36u);
         EXPECT_EQ(win.prune.clips_reused, 0u);
-      } else if (cfg.host_parallel) {
-        EXPECT_GT(rep.prune.clips_reused, 0u);
-        EXPECT_EQ(rep.prune.clips_reused + rep.prune.clips_computed, 36u);
       } else {
         EXPECT_EQ(rep.prune.clips_reused, 33u) << "mode=" << m;
         EXPECT_EQ(rep.prune.clips_computed, 3u) << "mode=" << m;
@@ -489,10 +507,6 @@ TEST(ClipMemo, SequentialMatchesOracleAndMemoOff) {
 
 TEST(ClipMemo, ParallelMatchesOracleAndMemoOff) {
   expect_clip_memo_exact({.run_mode = engine::mode::parallel});
-}
-
-TEST(HostParallelCfg, ClipMemoMatchesOracleAndMemoOff) {
-  expect_clip_memo_exact({.run_mode = engine::mode::sequential, .host_parallel = true});
 }
 
 // A traced check: only evaluated clips open a pipeline:clip span; the group

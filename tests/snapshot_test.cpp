@@ -5,7 +5,7 @@
 // checks and concurrent execution report exactly what solo per-rule runs
 // (check(lib, rule), each over its own fresh snapshot) report. The parallel
 // branch's row pipeline must be deterministic across pipeline depths (and
-// worker counts — exercised by the PackAheadWorkers* ctest entries, since
+// worker counts — exercised by the SnapshotWorkers* ctest entries, since
 // the global pool is sized once per process). The env-gated overlap test
 // asserts the point of the pipeline: the driver packing a row while the
 // device streams run earlier rows.
@@ -229,9 +229,9 @@ TEST(SnapshotPacked, ConcurrentMissesBuildOnce) {
 
 // Row pipelining must be invisible: the parallel branch reports the same
 // violations whatever the pipeline depth, and the same as sequential.
-// The PackAheadWorkers1/PackAheadWorkers4 ctest entries re-run this suite
+// The SnapshotWorkers1/SnapshotWorkers4 ctest entries re-run this suite
 // with ODRC_WORKERS pinned, covering the worker-count axis.
-TEST(PackAhead, DepthInvariant) {
+TEST(RowPipeline, DepthInvariant) {
   const db::library lib = two_top_lib();
   const std::vector<rules::rule> deck = mixed_deck();
 
@@ -256,7 +256,7 @@ TEST(PackAhead, DepthInvariant) {
 // through the packed-master-edge cache: the cached edges are extracted once
 // in master space, so the per-instance transform replay must reproduce the
 // from-scratch pack for reflected rings (where the edge direction flips).
-TEST(PackAhead, ReflectedPlacementsMatchSequential) {
+TEST(RowPipeline, ReflectedPlacementsMatchSequential) {
   db::library lib;
   const db::cell_id m = lib.add_cell("om");
   lib.at(m).add_rect(1, {0, 0, 30, 8});
@@ -324,7 +324,7 @@ bool intervals_overlap(std::pair<std::uint64_t, std::uint64_t> a,
 // Timing-dependent, so it needs a slow simulated device
 // (ODRC_DEVICE_GBPS=0.5) and retries; the pack_overlap_trace ctest entry
 // provides both, everywhere else it skips.
-TEST(PackAhead, OverlapShowsConcurrentPacks) {
+TEST(RowPipeline, OverlapShowsConcurrentPacks) {
   if (!std::getenv("ODRC_SNAPSHOT_OVERLAP_TEST")) {
     GTEST_SKIP() << "run via the pack_overlap_trace ctest entry "
                     "(needs a slow simulated device)";

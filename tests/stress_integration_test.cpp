@@ -1,7 +1,6 @@
 // Full-scale integration spot checks: the three largest designs at their
 // benchmark size, key rules, all execution strategies at once (sequential,
-// device-parallel, host-parallel, flat reference), plus a whole-deck
-// concurrent run. Slower than the unit suites (seconds), still well inside
+// device-parallel, flat reference), plus a whole-deck concurrent run. Slower than the unit suites (seconds), still well inside
 // CI budgets.
 #include <gtest/gtest.h>
 
@@ -29,7 +28,6 @@ TEST_P(FullScale, AllStrategiesAgreeAtBenchmarkSize) {
 
   drc_engine seq({.run_mode = engine::mode::sequential});
   drc_engine par({.run_mode = engine::mode::parallel, .pipeline_depth = 3});
-  drc_engine host({.host_parallel = true});
   baseline::flat_checker flat;
 
   // Spacing on the cell layer (hierarchy-heavy) and the routing layer
@@ -40,8 +38,6 @@ TEST_P(FullScale, AllStrategiesAgreeAtBenchmarkSize) {
         << "seq layer " << m;
     EXPECT_EQ(norm(par.run_spacing(g.lib, m, tech::wire_space).violations), want)
         << "par layer " << m;
-    EXPECT_EQ(norm(host.run_spacing(g.lib, m, tech::wire_space).violations), want)
-        << "host layer " << m;
   }
 
   // Enclosure across the hierarchy (V1 lives in masters, M1 around it).

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -646,6 +647,19 @@ int cmd_coord(int argc, char** argv) {
   }
 
   // Spawn workers unless the fleet was provided (pre-started, maybe remote).
+  // Their sockets live in a fresh temp directory, removed with any socket
+  // left in it when this function returns: every return path has reaped or
+  // killed the workers by then.
+  struct dir_remover {
+    std::string path;
+    dir_remover() = default;
+    dir_remover(const dir_remover&) = delete;
+    dir_remover& operator=(const dir_remover&) = delete;
+    ~dir_remover() {
+      std::error_code ec;
+      if (!path.empty()) std::filesystem::remove_all(path, ec);
+    }
+  } sock_dir;
   std::vector<pid_t> children;
   if (worker_eps.empty()) {
     char dir_templ[] = "/tmp/odrc_coord_XXXXXX";
@@ -654,6 +668,7 @@ int cmd_coord(int argc, char** argv) {
       std::fprintf(stderr, "odrc coord: mkdtemp failed\n");
       return 1;
     }
+    sock_dir.path = dir;
     for (std::size_t i = 0; i < bands.size(); ++i) {
       const std::string ep = std::string(dir) + "/worker" + std::to_string(i) + ".sock";
       std::vector<std::string> args = {"odrc",           "serve",
