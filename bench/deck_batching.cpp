@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
                   throw std::runtime_error("batched and per-rule violation counts differ");
                 }
                 ctx.counter("violations", static_cast<double>(report.violations.size()));
-                ctx.counter("shared_seconds", report.deck.shared_seconds);
-                ctx.counter("saved_seconds", report.deck.saved_seconds);
               });
       }
     }
@@ -115,18 +113,16 @@ int main(int argc, char** argv) {
   return s.run([&](const suite_report& rep) {
     std::printf("\nDeck batching: 9 pair rules over 3 layers (scale=%.2f, mode=%s)\n",
                 rep.scale, rep.mode.c_str());
-    std::printf("%-8s %-10s %10s %10s %8s %10s %10s\n", "Design", "Mode", "per-rule",
-                "batched", "speedup", "shared(s)", "saved(s)");
+    std::printf("%-8s %-10s %10s %10s %8s\n", "Design", "Mode", "per-rule", "batched",
+                "speedup");
     for (const std::string& design : designs) {
       for (const char* mode_s : {"seq", "par"}) {
         const std::string base = design + "/" + mode_s + "/";
         const double t_per_rule = median_or(rep, base + "per-rule");
         const double t_batched = median_or(rep, base + "batched");
         if (t_per_rule < 0 || t_batched < 0) continue;
-        std::printf("%-8s %-10s %10.3f %10.3f %7.2fx %10.3f %10.3f\n", design.c_str(),
-                    mode_s, t_per_rule, t_batched, t_per_rule / std::max(t_batched, 1e-9),
-                    counter_or(rep, base + "batched", "shared_seconds"),
-                    counter_or(rep, base + "batched", "saved_seconds"));
+        std::printf("%-8s %-10s %10.3f %10.3f %7.2fx\n", design.c_str(), mode_s, t_per_rule,
+                    t_batched, t_per_rule / std::max(t_batched, 1e-9));
       }
     }
     const double t_off = median_or(rep, "trace-overhead/off");

@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
         engine::check_report r;
         while (ctx.next_rep()) r = seq.run_spacing(g.lib, layer, tech::wire_space);
         ctx.counter("phase_total_s", r.phases.total());
-        ctx.counter("frac_partition", r.phases.fraction("partition"));
-        ctx.counter("frac_sweepline", r.phases.fraction("sweepline"));
-        ctx.counter("frac_edge_check", r.phases.fraction("edge_check"));
+        ctx.counter("frac_partition", r.phases.fraction(phase::partition));
+        ctx.counter("frac_sweepline", r.phases.fraction(phase::sweepline));
+        ctx.counter("frac_edge_check", r.phases.fraction(phase::edge_check));
       });
     }
   }

@@ -62,7 +62,7 @@ check_report deep_checker::run_width(const db::library& lib, db::layer_t layer,
   const auto insts = instances_of(lib, idx, layer, views);
   report.instances += insts.size();
 
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   // Hierarchical evaluation: one computation per master, reused per
   // instance — the strength of KLayout's deep mode for intra checks.
   std::unordered_map<db::cell_id, std::vector<violation>> memo;
@@ -98,7 +98,7 @@ check_report deep_checker::run_area(const db::library& lib, db::layer_t layer, a
   const auto insts = instances_of(lib, idx, layer, views);
   report.instances += insts.size();
 
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   std::unordered_map<db::cell_id, std::vector<violation>> memo;
   for (const inst& in : insts) {
     if (!in.t.is_isometry()) {
@@ -134,7 +134,7 @@ check_report deep_checker::run_spacing(const db::library& lib, db::layer_t layer
 
   // Intra-master spacing: memoized per master.
   {
-    auto t = report.phases.measure("edge_check");
+    auto t = report.phases.measure(phase::edge_check);
     std::unordered_map<db::cell_id, std::vector<violation>> memo;
     for (const inst& in : insts) {
       if (!in.t.is_isometry()) {
@@ -184,13 +184,13 @@ check_report deep_checker::run_spacing(const db::library& lib, db::layer_t layer
   for (std::size_t i = 0; i < insts.size(); ++i) mbrs[i] = insts[i].mbr;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   {
-    auto t = report.phases.measure("sweepline");
+    auto t = report.phases.measure(phase::sweepline);
     sweep::overlap_pairs_inflated(
         mbrs, min_space,
         [&](std::uint32_t i, std::uint32_t j) { pairs.emplace_back(i, j); },
         &report.sweep_stats);
   }
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for (const auto& [ia, ib] : pairs) {
     ++report.prune.pairs_computed;
     const inst& a = insts[ia];
@@ -229,7 +229,7 @@ check_report deep_checker::run_enclosure(const db::library& lib, db::layer_t inn
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   {
-    auto t = report.phases.measure("sweepline");
+    auto t = report.phases.measure(phase::sweepline);
     sweep::overlap_pairs_inflated(
         mbrs, min_enclosure,
         [&](std::uint32_t i, std::uint32_t j) {
@@ -244,7 +244,7 @@ check_report deep_checker::run_enclosure(const db::library& lib, db::layer_t inn
     contained[i].assign(inner_views[inner_insts[i].master].polys.size(), 0);
   }
 
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for (const auto& [ii, oj] : pairs) {
     ++report.prune.pairs_computed;
     const inst& a = inner_insts[ii];

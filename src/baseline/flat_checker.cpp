@@ -11,7 +11,7 @@ namespace {
 // expansion in the "flatten" phase (flat mode pays this cost every run).
 std::vector<db::flat_polygon> flatten_tops(const db::library& lib, db::layer_t layer,
                                            check_report& report) {
-  auto t = report.phases.measure("flatten");
+  auto t = report.phases.measure(phase::flatten);
   std::vector<db::flat_polygon> polys;
   for (const db::cell_id top : lib.top_cells()) {
     auto part = db::flatten_layer(lib, top, layer);
@@ -28,7 +28,7 @@ check_report flat_checker::run_width(const db::library& lib, db::layer_t layer,
                                      coord_t min_width) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for (const db::flat_polygon& fp : polys) {
     checks::check_width(fp.poly, layer, min_width, report.violations, report.check_stats);
   }
@@ -38,7 +38,7 @@ check_report flat_checker::run_width(const db::library& lib, db::layer_t layer,
 check_report flat_checker::run_area(const db::library& lib, db::layer_t layer, area_t min_area) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for (const db::flat_polygon& fp : polys) {
     checks::check_area(fp.poly, layer, min_area, report.violations, report.check_stats);
   }
@@ -49,7 +49,7 @@ check_report flat_checker::run_spacing(const db::library& lib, db::layer_t layer
                                        coord_t min_space) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   detail::flat_spacing(polys, layer, min_space, report);
   return report;
 }
@@ -59,7 +59,7 @@ check_report flat_checker::run_enclosure(const db::library& lib, db::layer_t inn
   check_report report;
   const auto inner_polys = flatten_tops(lib, inner, report);
   const auto outer_polys = flatten_tops(lib, outer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   detail::flat_enclosure(inner_polys, outer_polys, inner, outer, min_enclosure, report);
   return report;
 }

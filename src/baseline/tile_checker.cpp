@@ -1,5 +1,3 @@
-#include <mutex>
-
 #include "baseline/baseline.hpp"
 #include "baseline/flat_kit.hpp"
 #include "infra/thread_pool.hpp"
@@ -35,7 +33,7 @@ struct tile_grid {
 
 std::vector<db::flat_polygon> flatten_tops(const db::library& lib, db::layer_t layer,
                                            check_report& report) {
-  auto t = report.phases.measure("flatten");
+  auto t = report.phases.measure(phase::flatten);
   std::vector<db::flat_polygon> polys;
   for (const db::cell_id top : lib.top_cells()) {
     auto part = db::flatten_layer(lib, top, layer);
@@ -89,7 +87,7 @@ check_report tile_checker::run_width(const db::library& lib, db::layer_t layer,
                                      coord_t min_width) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for_each_tile(polys, tiles_, min_width, report,
                 [&](const rect& proper, std::span<const db::flat_polygon> subset,
                     check_report& local) {
@@ -108,7 +106,7 @@ check_report tile_checker::run_width(const db::library& lib, db::layer_t layer,
 check_report tile_checker::run_area(const db::library& lib, db::layer_t layer, area_t min_area) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for_each_tile(polys, tiles_, 0, report,
                 [&](const rect& proper, std::span<const db::flat_polygon> subset,
                     check_report& local) {
@@ -126,7 +124,7 @@ check_report tile_checker::run_spacing(const db::library& lib, db::layer_t layer
                                        coord_t min_space) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for_each_tile(polys, tiles_, min_space, report,
                 [&](const rect& proper, std::span<const db::flat_polygon> subset,
                     check_report& local) {
@@ -141,7 +139,7 @@ check_report tile_checker::run_enclosure(const db::library& lib, db::layer_t inn
   check_report report;
   const auto inner_polys = flatten_tops(lib, inner, report);
   const auto outer_polys = flatten_tops(lib, outer, report);
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   // Tile over the union of both layers so every interacting pair lands in
   // some tile's halo region. Containment must look at the full halo subset,
   // and a via is owned by the tile containing its MBR min corner.

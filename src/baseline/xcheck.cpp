@@ -23,7 +23,7 @@ namespace {
 
 std::vector<db::flat_polygon> flatten_tops(const db::library& lib, db::layer_t layer,
                                            check_report& report) {
-  auto t = report.phases.measure("flatten");
+  auto t = report.phases.measure(phase::flatten);
   std::vector<db::flat_polygon> polys;
   for (const db::cell_id top : lib.top_cells()) {
     auto part = db::flatten_layer(lib, top, layer);
@@ -49,7 +49,7 @@ std::vector<sweep::packed_edge> pack_all(std::span<const db::flat_polygon> polys
 check_report xcheck::run_width(const db::library& lib, db::layer_t layer, coord_t min_width) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("device");
+  auto t = report.phases.measure(phase::device);
   sweep::device_check_config cfg{sweep::pair_check::width, min_width, layer, layer,
                                  sweep::sweep_axis::y};
   // X-Check is sweep-based throughout; no brute-force fallback.
@@ -68,7 +68,7 @@ std::optional<check_report> xcheck::run_area(const db::library&, db::layer_t, ar
 check_report xcheck::run_spacing(const db::library& lib, db::layer_t layer, coord_t min_space) {
   check_report report;
   const auto polys = flatten_tops(lib, layer, report);
-  auto t = report.phases.measure("device");
+  auto t = report.phases.measure(phase::device);
   sweep::device_check_config cfg{sweep::pair_check::spacing, min_space, layer, layer,
                                  sweep::sweep_axis::y};
   sweep::device_check_edges_with(impl_->stream, pack_all(polys, 0, 0), cfg,
@@ -83,7 +83,7 @@ check_report xcheck::run_enclosure(const db::library& lib, db::layer_t inner, db
   const auto inner_polys = flatten_tops(lib, inner, report);
   const auto outer_polys = flatten_tops(lib, outer, report);
   {
-    auto t = report.phases.measure("device");
+    auto t = report.phases.measure(phase::device);
     sweep::device_check_config cfg{sweep::pair_check::enclosure, min_enclosure, inner, outer,
                                    sweep::sweep_axis::y};
     auto edges = pack_all(inner_polys, 0, 0);
@@ -93,7 +93,7 @@ check_report xcheck::run_enclosure(const db::library& lib, db::layer_t inner, db
                                    report.violations, report.device_stats);
   }
   // Containment on the host (as in the flat baseline).
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for (const db::flat_polygon& ip : inner_polys) {
     const rect im = ip.poly.mbr();
     bool contained = false;

@@ -14,29 +14,6 @@ namespace {
 
 using checks::violation;
 
-// Shared-phase time of a group's shared report: the phases paid once per
-// group regardless of how many rules it batches.
-double shared_phase_seconds(const check_report& r) {
-  const auto snapshot = r.phases.phases();
-  double s = 0;
-  for (const char* name : {"partition", "sweepline", "pack", "device"}) {
-    auto it = snapshot.find(name);
-    if (it != snapshot.end()) s += it->second;
-  }
-  return s;
-}
-
-// Amortization accounting for one executed group: the shared phases ran once
-// instead of once per member rule. Returns the group's shared-phase seconds.
-double count_group(deck_stats& ds, const check_report& shared, std::size_t members) {
-  const double secs = shared_phase_seconds(shared);
-  ds.groups += 1;
-  if (members > 1) ds.batched_rules += members;
-  ds.shared_seconds += secs;
-  ds.saved_seconds += secs * static_cast<double>(members - 1);
-  return secs;
-}
-
 std::vector<exec_plan> compile_plans(std::span<const rules::rule> deck) {
   std::vector<exec_plan> plans;
   plans.reserve(deck.size());
@@ -90,8 +67,9 @@ deck_report drc_engine::check_deck(std::span<const exec_plan> plans, layout_snap
   out.per_rule.resize(plans.size());
   out.scope.resize(plans.size());
   for (const plan_group& g : group_plans(plans)) {
+    const timer t;
     group_report gr = run_group(cfg_, impl_->streams, snap, plans, g, window);
-    out.groups.push_back({g.members, count_group(out.total.deck, gr.shared, g.members.size())});
+    out.groups.push_back({g.members, t.seconds()});
     for (std::size_t k = 0; k < g.members.size(); ++k) {
       out.per_rule[g.members[k]].merge_from(std::move(gr.per_rule[k]));
       out.scope[g.members[k]] = gr.scope;
@@ -122,9 +100,7 @@ check_report drc_engine::check_concurrent(const db::library& lib) {
   std::vector<check_report> reports(groups.size());
   thread_pool::global().parallel_for(0, groups.size(), [&](std::size_t t) {
     stream_pool local_streams;
-    group_report gr = run_group(cfg_, local_streams, snap, plans, groups[t]);
-    count_group(reports[t].deck, gr.shared, groups[t].members.size());
-    reports[t].merge_from(std::move(gr).merged());
+    reports[t] = run_group(cfg_, local_streams, snap, plans, groups[t]).merged();
   });
   check_report merged;
   for (check_report& r : reports) merged.merge_from(std::move(r));

@@ -80,22 +80,6 @@ struct engine_config {
   simd::mode simd = simd::mode::automatic;
 };
 
-/// Deck-batching amortization counters (reported by `odrc check`).
-struct deck_stats {
-  std::size_t groups = 0;        ///< plan groups executed
-  std::size_t batched_rules = 0; ///< rules that shared a group with others
-  double shared_seconds = 0;     ///< shared-phase time paid once per group
-  double saved_seconds = 0;      ///< est. shared time avoided vs per-rule runs
-
-  deck_stats& operator+=(const deck_stats& o) {
-    groups += o.groups;
-    batched_rules += o.batched_rules;
-    shared_seconds += o.shared_seconds;
-    saved_seconds += o.saved_seconds;
-    return *this;
-  }
-};
-
 /// Everything a check run produces: violations plus the instrumentation the
 /// benches report (work counters, partition shape, Fig. 4 phase breakdown).
 struct check_report {
@@ -105,18 +89,16 @@ struct check_report {
   sweep::sweep_stats sweep_stats;
   sweep::device_check_stats device_stats;
   prune_stats prune;
-  phase_profiler phases;  ///< "partition" / "sweepline" / "edge_check" / ...
-  deck_stats deck;        ///< batching amortization (deck-level runs only)
+  phase_profiler phases;  ///< Fig. 4 phase breakdown (timer.hpp phase)
 
   std::size_t rows = 0;
   std::size_t clips = 0;
   std::size_t instances = 0;
 
-  /// Plain accumulation. Batched group runs keep shared-phase time
-  /// (partition / sweepline / pack / device) in exactly ONE report — the
-  /// group's shared report, never the per-rule reports (pipeline.hpp
-  /// group_report) — so merging a group's reports cannot double-count a
-  /// phase that was paid once for several rules.
+  /// Plain accumulation. A group's shared phases (partition / sweepline /
+  /// pack / device) live in its shared report only, never in a per-rule
+  /// report (pipeline.hpp group_report), so merging a group's reports counts
+  /// each phase once.
   void merge_from(check_report&& o) {
     violations.insert(violations.end(), std::make_move_iterator(o.violations.begin()),
                       std::make_move_iterator(o.violations.end()));
@@ -124,20 +106,18 @@ struct check_report {
     sweep_stats += o.sweep_stats;
     device_stats += o.device_stats;
     prune += o.prune;
-    for (const auto& [name, secs] : o.phases.phases()) phases.add(name, secs);
-    deck += o.deck;
+    phases += o.phases;
     rows += o.rows;
     clips += o.clips;
     instances += o.instances;
   }
 };
 
-/// One executed plan group: its member rules and the time of the phases
-/// they shared (partition / sweepline / pack / device), which no member's own
-/// report carries.
+/// One executed plan group: its member rules and the wall time of its
+/// run_group call (the shared walk plus every member's predicates).
 struct group_timing {
   std::vector<std::size_t> members;  ///< indices into deck_report::per_rule
-  double shared_seconds = 0;
+  double seconds = 0;
 };
 
 /// Deck-level result with per-rule attribution preserved: `per_rule[i]` is
@@ -177,8 +157,7 @@ class drc_engine {
   /// Run the whole deck with per-rule report attribution: compile the deck,
   /// build one layout snapshot and run the plan-level check_deck below.
   /// Rules whose plans share a layer set are grouped (plan.hpp group_plans)
-  /// and executed over one shared walk; total.deck carries the amortization
-  /// counters.
+  /// and executed over one shared walk; `groups` times each group.
   deck_report check_deck(const db::library& lib);
 
   /// Plan-level variant for warm-path callers (odrc::serve sessions, the

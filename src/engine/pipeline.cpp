@@ -59,7 +59,7 @@ partition::partition_result partition_instances(const engine_config& cfg,
                                                 check_report& report) {
   partition::partition_result part;
   if (cfg.enable_partition) {
-    auto t = report.phases.measure("partition");
+    auto t = report.phases.measure(phase::partition);
     trace::span ts("pipeline", "partition", "objects", static_cast<std::int64_t>(mbrs.size()));
     part = partition::partition_rows(mbrs, distance, cfg.merge);
   } else {
@@ -203,7 +203,7 @@ class object_evaluator {
       const exec_plan& p = *plans_[k];
       if (!in.t.is_isometry() && p.rule.kind != checks::rule_kind::custom &&
           p.rule.kind != checks::rule_kind::rectilinear) {
-        auto t = pr[k].phases.measure("edge_check");
+        auto t = pr[k].phases.measure(phase::edge_check);
         if (top.empty()) {
           const auto copy = [&](const db::polygon_elem& e) {
             top.push_back({e.layer, e.datatype, e.poly.transformed(in.t), {}});
@@ -220,7 +220,7 @@ class object_evaluator {
         continue;
       }
       if (split) {
-        auto t = pr[k].phases.measure("edge_check");
+        auto t = pr[k].phases.measure(phase::edge_check);
         std::vector<violation> local;
         eval_polys(p, split_polys, split_mbrs, local, pr[k]);
         place(local, in.t, pr[k]);
@@ -232,7 +232,7 @@ class object_evaluator {
         ++pr[k].prune.intra_reused;
       } else {
         ++pr[k].prune.intra_computed;
-        auto t = pr[k].phases.measure("edge_check");
+        auto t = pr[k].phases.measure(phase::edge_check);
         std::vector<violation> computed = master_result(p, c, v, in.master, pr[k]);
         if (!cfg_.enable_memoization) {
           place(computed, in.t, pr[k]);
@@ -488,7 +488,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       for (std::size_t k = 0; k < nplans; ++k) outs[k] = &out.per_rule[k].violations;
 
       auto pack_row = [&](const partition::row& row, std::size_t ri) {
-        auto t = shared.phases.measure("pack");
+        auto t = shared.phases.measure(phase::pack);
         trace::span pts("pipeline", "pack", "row", static_cast<std::int64_t>(ri));
         std::vector<sweep::packed_edge> edges;
         std::uint32_t poly_id = 0;
@@ -513,7 +513,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       std::deque<sweep::async_multi_check> in_flight;
       std::size_t drained = 0;
       auto drain_oldest = [&] {
-        auto t = shared.phases.measure("device");
+        auto t = shared.phases.measure(phase::device);
         trace::span dts("pipeline", "device_wait", "row", static_cast<std::int64_t>(drained++));
         in_flight.front().finish(outs, shared.device_stats);
         in_flight.pop_front();
@@ -591,7 +591,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
             ++pr[k].prune.pairs_reused;
           } else {
             ++pr[k].prune.pairs_computed;
-            auto t = pr[k].phases.measure("edge_check");
+            auto t = pr[k].phases.measure(phase::edge_check);
             geometry();
             std::vector<violation> computed;
             for (std::size_t i = 0; i < pa->polys.size(); ++i) {
@@ -626,7 +626,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       const poly_set pb = polys_of(lib, views, b, lb, transform{});
       for (std::size_t k = 0; check_edges && k < nplans; ++k) {
         ++pr[k].prune.pairs_computed;
-        auto t = pr[k].phases.measure("edge_check");
+        auto t = pr[k].phases.measure(phase::edge_check);
         for (std::size_t i = 0; i < pa.polys.size(); ++i) {
           for (std::size_t j = 0; j < pb.polys.size(); ++j) {
             mp[k]->check_pair(pa.polys[i], pa.mbrs[i], pb.polys[j], pb.mbrs[j],
@@ -700,7 +700,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
       // Candidate object pairs from the sweepline (Fig. 3).
       std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
       {
-        auto t = shared.phases.measure("sweepline");
+        auto t = shared.phases.measure(phase::sweepline);
         trace::span sts("pipeline", "sweepline", "members",
                         static_cast<std::int64_t>(clip.members.size()));
         pairs = clip_pairs(clip, shared.sweep_stats);
@@ -725,7 +725,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
         // Containment runs on the host (polygon containment is not an
         // edge-pair-decomposable predicate), over the candidate pairs of the
         // same clip sweep the sequential branch uses.
-        auto t = shared.phases.measure("edge_check");
+        auto t = shared.phases.measure(phase::edge_check);
         for (const partition::clip* c : clips) {
           for (const auto& [ia, ib] : clip_pairs(*c, shared.sweep_stats)) {
             run_pair(ia, ib);
@@ -738,7 +738,7 @@ group_report run_pair_group(const engine_config& cfg, stream_pool& streams,
 
     if (track) {
       // Report inner polygons contained by nothing, once per member plan.
-      auto t = shared.phases.measure("edge_check");
+      auto t = shared.phases.measure(phase::edge_check);
       for (std::size_t i = 0; i < ni; ++i) {
         const std::span<const std::uint8_t> flags = flags_of(i);
         if (std::ranges::find(flags, 0) == flags.end()) continue;

@@ -30,9 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "db/mbr_index.hpp"

@@ -17,7 +17,7 @@ namespace {
 void measure_regions(const exec_plan& p, std::span<const polygon> a, std::span<const polygon> b,
                      check_report& report) {
   if (a.empty()) return;
-  auto t = report.phases.measure("boolean");
+  auto t = report.phases.measure(phase::boolean);
   const rules::rule& r = p.rule;
   const geo::bool_op op = r.kind == checks::rule_kind::overlap_area ? geo::bool_op::intersect
                                                                     : geo::bool_op::subtract;
@@ -57,7 +57,7 @@ void color_conflicts(const exec_plan& p, std::span<const polygon> shapes,
   const coord_t same_mask_spacing = p.rule.distance;
   std::vector<std::vector<std::uint32_t>> adj(n);
   {
-    auto t = report.phases.measure("sweepline");
+    auto t = report.phases.measure(phase::sweepline);
     sweep::overlap_pairs_inflated(
         mbrs, same_mask_spacing,
         [&](std::uint32_t i, std::uint32_t j) {
@@ -72,7 +72,7 @@ void color_conflicts(const exec_plan& p, std::span<const polygon> shapes,
 
   // Depth-first 2-coloring; a conflict between equal colors closes an odd
   // cycle.
-  auto t = report.phases.measure("edge_check");
+  auto t = report.phases.measure(phase::edge_check);
   for (auto& nb : adj) std::sort(nb.begin(), nb.end());
   std::vector<std::int8_t> color(n, -1);
   std::vector<std::uint32_t> stack;

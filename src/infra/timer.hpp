@@ -1,10 +1,11 @@
-// Wall-clock timers and the named phase profiler behind Fig. 4.
+// Wall-clock timers and the phase ledger behind Fig. 4.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 namespace odrc {
@@ -31,86 +32,78 @@ class timer {
   clock::time_point start_;
 };
 
-/// Accumulates named phase durations. The engine records the phases that
-/// Fig. 4 of the paper breaks a sequential space check into: "partition",
-/// "sweepline", and "edge_check".
-///
-/// Thread-safe: worker threads (drc_engine::check_concurrent's group tasks)
-/// may add phases, so every access to the map is
-/// serialized on an internal mutex. phases() therefore returns a snapshot by
-/// value — holding a reference into a concurrently mutated map was the bug.
+/// The closed set of phases a check records. Fig. 4 of the paper breaks a
+/// sequential space check into partition, sweepline and edge_check; parallel
+/// mode adds pack (host edge packing) and device (waiting on device streams),
+/// derived-area rules add boolean, and the flat baselines add flatten.
+enum class phase : std::uint8_t { partition, sweepline, edge_check, pack, device, boolean, flatten };
+
+inline constexpr std::size_t phase_count = static_cast<std::size_t>(phase::flatten) + 1;
+
+/// The phase's report name ("partition", "edge_check", ...).
+[[nodiscard]] constexpr const char* phase_name(phase p) {
+  constexpr std::array<const char*, phase_count> names = {
+      "partition", "sweepline", "edge_check", "pack", "device", "boolean", "flatten"};
+  return names[static_cast<std::size_t>(p)];
+}
+
+/// Accumulated seconds per phase for one report. A report has one writer:
+/// each concurrent task fills a report of its own and the reports are merged
+/// after the join, so the ledger takes no lock.
 class phase_profiler {
  public:
-  phase_profiler() = default;
-  phase_profiler(const phase_profiler& o) : phases_(o.snapshot()) {}
-  phase_profiler(phase_profiler&& o) noexcept : phases_(o.snapshot()) {}
-  phase_profiler& operator=(const phase_profiler& o) {
-    if (this != &o) {
-      auto copy = o.snapshot();
-      std::lock_guard lk(mu_);
-      phases_ = std::move(copy);
-    }
-    return *this;
-  }
-  phase_profiler& operator=(phase_profiler&& o) noexcept {
-    return *this = static_cast<const phase_profiler&>(o);
-  }
-
-  /// RAII scope: adds elapsed time to `name` on destruction.
+  /// RAII scope: adds elapsed time to its phase on destruction.
   class scope {
    public:
-    scope(phase_profiler& prof, std::string name) : prof_(prof), name_(std::move(name)) {}
-    ~scope() { prof_.add(name_, t_.seconds()); }
+    scope(phase_profiler& prof, phase p) : prof_(prof), p_(p) {}
+    ~scope() { prof_.add(p_, t_.seconds()); }
     scope(const scope&) = delete;
     scope& operator=(const scope&) = delete;
 
    private:
     phase_profiler& prof_;
-    std::string name_;
+    phase p_;
     timer t_;
   };
 
-  void add(const std::string& name, double seconds) {
-    std::lock_guard lk(mu_);
-    phases_[name] += seconds;
+  void add(phase p, double seconds) {
+    const auto i = static_cast<std::size_t>(p);
+    seconds_[i] += seconds;
+    recorded_ |= 1u << i;
   }
 
-  [[nodiscard]] scope measure(std::string name) { return scope{*this, std::move(name)}; }
+  [[nodiscard]] scope measure(phase p) { return scope{*this, p}; }
 
-  /// Snapshot of the accumulated phases (by value: the internal map keeps
-  /// changing under concurrent recorders).
-  [[nodiscard]] std::map<std::string, double> phases() const { return snapshot(); }
+  phase_profiler& operator+=(const phase_profiler& o) {
+    for (std::size_t i = 0; i < phase_count; ++i) seconds_[i] += o.seconds_[i];
+    recorded_ |= o.recorded_;
+    return *this;
+  }
+
+  /// The recorded phases by name (a phase never measured has no key).
+  [[nodiscard]] std::map<std::string, double> phases() const {
+    std::map<std::string, double> out;
+    for (std::size_t i = 0; i < phase_count; ++i) {
+      if (recorded_ & (1u << i)) out.emplace(phase_name(static_cast<phase>(i)), seconds_[i]);
+    }
+    return out;
+  }
 
   [[nodiscard]] double total() const {
-    std::lock_guard lk(mu_);
     double t = 0;
-    for (const auto& [_, s] : phases_) t += s;
+    for (const double s : seconds_) t += s;
     return t;
   }
 
-  /// Fraction of total time spent in `name` (0 when nothing recorded).
-  [[nodiscard]] double fraction(const std::string& name) const {
-    std::lock_guard lk(mu_);
-    double t = 0;
-    for (const auto& [_, s] : phases_) t += s;
-    if (t <= 0) return 0;
-    auto it = phases_.find(name);
-    return it == phases_.end() ? 0 : it->second / t;
-  }
-
-  void clear() {
-    std::lock_guard lk(mu_);
-    phases_.clear();
+  /// Fraction of total time spent in `p` (0 when nothing recorded).
+  [[nodiscard]] double fraction(phase p) const {
+    const double t = total();
+    return t <= 0 ? 0 : seconds_[static_cast<std::size_t>(p)] / t;
   }
 
  private:
-  [[nodiscard]] std::map<std::string, double> snapshot() const {
-    std::lock_guard lk(mu_);
-    return phases_;
-  }
-
-  mutable std::mutex mu_;
-  std::map<std::string, double> phases_;
+  std::array<double, phase_count> seconds_{};
+  std::uint32_t recorded_ = 0;  ///< bit i: phase i was measured
 };
 
 }  // namespace odrc

@@ -1,7 +1,7 @@
 // Structured run telemetry (ROADMAP: observability toward production scale).
 //
 // The coarse phase_profiler (timer.hpp) can only say how much wall-clock each
-// named phase consumed in total; it cannot show the paper's Section V-C
+// report spent per phase in total; it cannot show the paper's Section V-C
 // claims — stream overlap, per-row pipelining, device queue behaviour. This
 // module records *spans*: begin/end event pairs carrying the recording
 // thread, a category, a static name, and up to two numeric labels (row index,

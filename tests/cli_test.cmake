@@ -127,6 +127,15 @@ if(NOT rc STREQUAL "1" OR NOT err MATCHES "deck line 1:")
   message(FATAL_ERROR "overflowing deck distance must exit 1 with 'deck line 1:', got ${rc}: ${err}")
 endif()
 
+# coord notices a spawned worker that exits before it comes up (its deck
+# cannot be read) instead of polling the worker's socket until its deadline.
+execute_process(COMMAND ${ODRC_BIN} coord ${gds} ${WORK_DIR}/no_such.deck
+                        --socket=${WORK_DIR}/coord.sock --shards=1
+                TIMEOUT 10 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc STREQUAL "1" OR NOT err MATCHES "worker 0 exited")
+  message(FATAL_ERROR "coord with a dead worker must exit 1 within 10 s, got ${rc}: ${err}")
+endif()
+
 run(${ODRC_BIN} render ${gds} ${svg} --deck=${deck})
 file(READ ${svg} svg_text)
 if(NOT svg_text MATCHES "</svg>")

@@ -165,11 +165,17 @@ TEST(DeckBatching, AmortizationStatsRecorded) {
 
   drc_engine batched;
   batched.add_rules(deck);
-  const deck_stats on = batched.check_deck(lib).total.deck;
-  EXPECT_EQ(on.groups, 6u);
-  EXPECT_EQ(on.batched_rules, 9u);  // one-member groups batch nothing
-  EXPECT_GT(on.shared_seconds, 0.0);
-  EXPECT_GE(on.saved_seconds, 0.0);
+  const deck_report dr = batched.check_deck(lib);
+  ASSERT_EQ(dr.groups.size(), 6u);
+  std::vector<int> seen(deck.size(), 0);
+  std::size_t shared = 0;  // rules in multi-member groups
+  for (const group_timing& g : dr.groups) {
+    for (const std::size_t i : g.members) ++seen[i];
+    if (g.members.size() > 1) shared += g.members.size();
+    EXPECT_GT(g.seconds, 0.0);
+  }
+  EXPECT_EQ(shared, 9u);  // one-member groups batch nothing
+  EXPECT_EQ(seen, std::vector<int>(deck.size(), 1));
 }
 
 // The ablation switches compose with batching: partition off and memoization

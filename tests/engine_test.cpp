@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "engine/plan.hpp"
 #include "workload/workload.hpp"
 
@@ -233,6 +236,26 @@ TEST(Engine, Fig4PhasesRecorded) {
   EXPECT_GT(r.phases.phases().count("edge_check"), 0u);
   EXPECT_GT(r.rows, 1u);
   EXPECT_GT(r.clips, r.rows);
+
+  // The phase names are a closed set (perfbench reads them by name): a seq
+  // deck with a derived-area rule adds boolean, par mode adds pack + device.
+  const std::vector<rules::rule> deck = {
+      rules::layer(layers::M1).spacing().greater_than(tech::wire_space),
+      rules::layer(layers::V1).overlap_with(layers::M1).area_at_least(1),
+  };
+  const std::set<std::string> names = {"partition", "sweepline", "edge_check", "pack",
+                                       "device",    "boolean",   "flatten"};
+  for (const mode m : {mode::sequential, mode::parallel}) {
+    drc_engine de({.run_mode = m});
+    de.add_rules(deck);
+    const auto ph = de.check(g.lib).phases.phases();
+    for (const auto& [name, _] : ph) EXPECT_TRUE(names.count(name)) << name;
+    const std::vector<std::string> want =
+        m == mode::sequential
+            ? std::vector<std::string>{"partition", "sweepline", "edge_check", "boolean"}
+            : std::vector<std::string>{"pack", "device"};
+    for (const std::string& name : want) EXPECT_EQ(ph.count(name), 1u) << name;
+  }
 }
 
 TEST(Engine, ExecutorChoiceAblation) {

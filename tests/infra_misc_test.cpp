@@ -68,24 +68,29 @@ TEST(Timer, MeasuresForwardTime) {
 
 TEST(PhaseProfiler, AccumulatesAndFractions) {
   phase_profiler prof;
-  prof.add("partition", 0.15);
-  prof.add("sweepline", 0.35);
-  prof.add("edge_check", 0.50);
-  prof.add("partition", 0.15);
+  prof.add(phase::partition, 0.15);
+  prof.add(phase::sweepline, 0.35);
+  prof.add(phase::edge_check, 0.50);
+  prof.add(phase::partition, 0.15);
   EXPECT_DOUBLE_EQ(prof.total(), 1.15);
-  EXPECT_NEAR(prof.fraction("partition"), 0.30 / 1.15, 1e-12);
-  EXPECT_DOUBLE_EQ(prof.fraction("missing"), 0.0);
-  prof.clear();
-  EXPECT_DOUBLE_EQ(prof.total(), 0.0);
+  EXPECT_NEAR(prof.fraction(phase::partition), 0.30 / 1.15, 1e-12);
+  EXPECT_DOUBLE_EQ(prof.fraction(phase::device), 0.0);
+
+  phase_profiler more;
+  more.add(phase::device, 0.85);
+  prof += more;
+  EXPECT_DOUBLE_EQ(prof.total(), 2.0);
+  EXPECT_EQ(prof.phases().size(), 4u);
+  EXPECT_DOUBLE_EQ(prof.phases().at("device"), 0.85);
 }
 
 TEST(PhaseProfiler, ScopeRecords) {
   phase_profiler prof;
   {
-    auto s = prof.measure("work");
+    auto s = prof.measure(phase::pack);
   }
   EXPECT_EQ(prof.phases().size(), 1u);
-  EXPECT_GE(prof.phases().at("work"), 0.0);
+  EXPECT_GE(prof.phases().at("pack"), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -291,8 +291,8 @@ int cmd_check(int argc, char** argv) {
                   trace_path.c_str());
     }
   }
-  // A rule's time is its own predicate time; the phases a plan group shares
-  // (partition, sweepline, pack, device) are printed once per group.
+  // A rule's time is its own predicate time; a group's time is the wall time
+  // of its whole run (the shared walk plus every member's predicates).
   for (std::size_t i = 0; i < deck.size(); ++i) {
     const double secs = dr.per_rule[i].phases.total();
     std::printf("  %-16s %8.3fs own  %zu violations\n", deck[i].name.c_str(), secs,
@@ -302,19 +302,14 @@ int cmd_check(int argc, char** argv) {
   for (const engine::group_timing& g : dr.groups) {
     std::string names;
     for (const std::size_t i : g.members) names += (names.empty() ? "" : ",") + deck[i].name;
-    std::printf("  group %-20s %8.3fs shared\n", names.c_str(), g.shared_seconds);
+    std::printf("  group %-20s %8.3fs\n", names.c_str(), g.seconds);
   }
   engine::check_report& total = dr.total;
   std::printf("total: %zu violations in %.3fs (%s mode)\n", total.violations.size(),
               t_total.seconds(), mode_s.c_str());
   // Every rule runs in exactly one group.
-  if (total.deck.groups > 0) {
-    std::printf(
-        "batching: %zu rules in %zu groups (%.1f rules/group, %zu sharing a pass), "
-        "shared phases %.3fs, est. time saved %.3fs\n",
-        deck.size(), total.deck.groups,
-        static_cast<double>(deck.size()) / static_cast<double>(total.deck.groups),
-        total.deck.batched_rules, total.deck.shared_seconds, total.deck.saved_seconds);
+  if (!dr.groups.empty()) {
+    std::printf("batching: %zu rules in %zu groups\n", deck.size(), dr.groups.size());
   }
 
   if (!report_path.empty()) {
@@ -588,20 +583,24 @@ void kill_workers(std::vector<pid_t>& children) {
 }
 
 // Block until a worker answers ping on `ep` (it has to parse the layout
-// first) or the deadline passes.
-bool await_worker(const std::string& ep, int timeout_ms) {
+// first) or the deadline passes. A spawned worker (`pid` > 0) that exits
+// first is reaped and reported through `exit_status`; pre-started workers
+// pass pid 0.
+enum class worker_wait { up, exited, timed_out };
+worker_wait await_worker(const std::string& ep, pid_t pid, int timeout_ms, int& exit_status) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   while (std::chrono::steady_clock::now() < deadline) {
+    if (pid > 0 && ::waitpid(pid, &exit_status, WNOHANG) == pid) return worker_wait::exited;
     try {
       serve::client c;
       c.connect(ep);
-      if (serve::client::ok(c.request(serve::msg_type::ping, 0))) return true;
+      if (serve::client::ok(c.request(serve::msg_type::ping, 0))) return worker_wait::up;
     } catch (const std::exception&) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  return false;
+  return worker_wait::timed_out;
 }
 
 int cmd_coord(int argc, char** argv) {
@@ -680,12 +679,23 @@ int cmd_coord(int argc, char** argv) {
       worker_eps.push_back(ep);
     }
   }
-  for (const std::string& ep : worker_eps) {
-    if (!await_worker(ep, 30000)) {
-      std::fprintf(stderr, "odrc coord: worker %s did not come up\n", ep.c_str());
-      kill_workers(children);
-      return 1;
+  for (std::size_t i = 0; i < worker_eps.size(); ++i) {
+    const pid_t pid = i < children.size() ? children[i] : 0;
+    int status = 0;
+    switch (await_worker(worker_eps[i], pid, 30000, status)) {
+      case worker_wait::up:
+        continue;
+      case worker_wait::exited:
+        std::fprintf(stderr, "odrc coord: worker %zu exited (status %d) before coming up\n", i,
+                     WIFEXITED(status) ? WEXITSTATUS(status) : status);
+        children.erase(children.begin() + static_cast<std::ptrdiff_t>(i));  // already reaped
+        break;
+      case worker_wait::timed_out:
+        std::fprintf(stderr, "odrc coord: worker %s did not come up\n", worker_eps[i].c_str());
+        break;
     }
+    kill_workers(children);
+    return 1;
   }
 
   serve::coord_config ccfg;
