@@ -21,15 +21,18 @@
 //   4. the device executor is brute-force (threads per polygon/pair) for
 //      small rows, two-kernel parallel sweep for large ones (Section IV-E).
 //
-// Intra-polygon rules (width, area, shape) walk each layer's placements once
-// per group, run per master in both modes (the width kernel on the device in
-// parallel mode) and reuse results across isometric placements (Section
-// IV-C intra-polygon pruning) through the same per-object evaluator that
-// checks spacing notches.
+// Intra-polygon rules (width, area, shape) run per master in both modes (the
+// width kernel on the device in parallel mode) and reuse results across
+// isometric placements (Section IV-C intra-polygon pruning) through the same
+// per-object evaluator that checks spacing notches.
 //
 // Derived-area (boolean) and coloring rules partition like distance rules —
 // inflate 0 so abutting shapes share a clip, the same-mask spacing for
 // coloring — and evaluate each clip's whole shape set once on the host.
+//
+// Rules that read the same layers form one plan group (plan.hpp) and share
+// one object collection, one per-object pass and, when any partitions, one
+// partition and one walk over its clips (pipeline.hpp run_group).
 #pragma once
 
 #include <cstdint>
@@ -133,9 +136,9 @@ struct deck_report {
 
 /// The DRC engine. Holds configuration and an optional rule deck. Every entry
 /// point compiles rules into plans (plan.hpp) and runs them over a layout
-/// snapshot: a deck's plans sharing a layer set and evaluator form one group
-/// and run over one shared walk (deck batching); a single rule is a
-/// one-member group.
+/// snapshot: a deck's plans reading the same layer set form one group and
+/// run over one shared walk (deck batching); a single rule is a one-member
+/// group.
 class drc_engine {
  public:
   explicit drc_engine(engine_config cfg = {});
@@ -165,11 +168,11 @@ class drc_engine {
   /// caller-owned snapshot of the library — no recompilation, no snapshot
   /// rebuild. `per_rule` is parallel to `plans`. `window` (a region: one or
   /// more rects) restricts candidate collection to objects near its rects;
-  /// each rule then reports every current violation touching its `scope` —
-  /// the window, or for whole-clip plans (derived-area, coloring) the window
-  /// plus every partition clip extent overlapping one of its rects. The
-  /// reports are NOT filtered to the scope (check_region keeps exactly the
-  /// window).
+  /// each rule then reports every current violation touching its group's
+  /// `scope` — the window, or for a group with a whole-clip member
+  /// (derived-area, coloring) the window plus every partition clip extent
+  /// overlapping one of its rects. The reports are NOT filtered to the scope
+  /// (check_region keeps exactly the window).
   deck_report check_deck(std::span<const exec_plan> plans, layout_snapshot& snap,
                          const std::optional<geo::region>& window = {});
 

@@ -1,22 +1,22 @@
 // The generic check pipeline driver (paper Sections IV-C/D/E, V-C).
 //
-// Every compiled plan belongs to a plan group (plan.hpp group_plans), and
-// every group runs through one dispatch, run_group(). An intra group walks
-// its layer's placed cells once and hands each to the per-object evaluator:
-// every member plan's per-polygon predicate on the master, computed once per
-// master and replayed at each isometric placement (§IV-C). A pair group
-// enumerates the placed instances carrying its layer(s), partitions their
-// MBRs into adaptive rows and clips, and evaluates each clip — distance
-// rules enumerate candidate pairs inside the clip and evaluate an edge
-// predicate per candidate (spacing groups also run the per-object evaluator
-// for notches); derived-area and coloring rules evaluate the clip's whole
+// Every compiled plan belongs to a plan group (plan.hpp group_plans: the
+// plans that read the same objects), and every group runs through one body,
+// run_group(). It collects the placed objects carrying the group's layer(s)
+// once, runs every member's per-object part on each (the per-object
+// evaluator: a member's per-polygon predicate on the master, computed once
+// per master and replayed at each isometric placement, §IV-C), and, when a
+// member is pair-class, partitions the object MBRs into adaptive rows and
+// clips and evaluates each clip once for every member — distance rules
+// enumerate candidate pairs inside the clip and evaluate an edge predicate
+// per candidate; derived-area and coloring rules evaluate the clip's whole
 // shape set once. This module owns that machinery ONCE; the engine compiles
 // each rule into an exec_plan (plan.hpp) and hands its group here.
 //
-// A group shares its walk across its member plans: one instance
-// enumeration, one row partition, one candidate sweep per clip and (in
-// parallel mode) one packed-edge upload per row — the deck-batching
-// amortization. A single rule is just a group with one member.
+// A group shares its walk across its member plans: one object collection,
+// one row partition, one candidate sweep per clip and (in parallel mode) one
+// packed-edge upload per row — the deck-batching amortization. A single rule
+// is just a group with one member.
 //
 // Reports come back split (group_report): the `shared` report carries the
 // phases paid once per group (partition / sweepline / pack / device) plus the
@@ -67,13 +67,14 @@ struct inst {
 inline constexpr std::size_t split_poly_threshold = 8;
 
 /// Enumerate the check objects of one top cell on one layer, pruned to the
-/// objects overlapping a rect of the `inflate`-inflated window when one is
-/// given (region-of-interest checking). Uses the snapshot's memoized instance
-/// lists and layer views — repeated calls for the same (top, layer) across
-/// rule groups walk the hierarchy once.
+/// objects overlapping a rect of `window` when one is given
+/// (region-of-interest checking). The polygon objects of one split placement
+/// are consecutive. Uses the snapshot's memoized instance lists and layer
+/// views — repeated calls for the same (top, layer) across rule groups walk
+/// the hierarchy once.
 [[nodiscard]] std::vector<inst> collect_instances(
     layout_snapshot& snap, db::cell_id top, db::layer_t layer,
-    const std::optional<geo::region>& window = std::nullopt, coord_t inflate = 0);
+    const std::optional<geo::region>& window = std::nullopt);
 
 // ---------------------------------------------------------------------------
 // Partition
@@ -149,30 +150,39 @@ struct group_report {
   [[nodiscard]] check_report merged() &&;
 };
 
-/// Run every member plan of `g`. Intra groups walk the group's layer (every
-/// populated layer for any_layer) once and run the per-object evaluator on
-/// each object. A full run evaluates whole placed cells only — the device
-/// width kernel per master in parallel mode. A windowed run evaluates the
-/// objects collect_instances would return for the window, the split polygons
-/// of one placement as one batch, so a window touching a single-use master
-/// (the top) evaluates only its polygons there.
+/// Run every member plan of `g` through one body. For each top cell (every
+/// populated layer for an any_layer group):
 ///
-/// Pair groups run one shared pipeline pass: one instance enumeration, one
-/// partition, one candidate sweep per clip — and in parallel mode one
-/// packed-edge upload per row with all member predicates evaluated by a
-/// single multi-config kernel (sweep::async_multi_check). In parallel mode
-/// the calling thread packs each row while up to `cfg.pipeline_depth`
-/// earlier rows run on device streams. Whole-clip groups (derived-area,
-/// coloring) skip the sweep and the device: each clip's shapes go to every
-/// member's check_shapes once, and a clip whose content is a translation of
-/// an evaluated one replays that result (clip_memo, task_prune.hpp).
+///   1. Collect the objects. With a window: every object if a member is
+///      whole-clip; otherwise, if a member is a distance rule, those around
+///      each rect's reach (the rect joined with every object overlapping
+///      it, inflated by the group's inflate); otherwise those overlapping
+///      the window. A group that does not partition keeps none: each object
+///      goes to step 3 as it is collected.
+///   2. Scope (windowed runs): the window, closed over the extent of every
+///      clip overlapping one of its rects if a member is whole-clip. Every
+///      member shares it and reports every current violation touching it.
+///   3. Per-object pass over the layer1 objects overlapping the scope: a
+///      whole placement through the master memo (the device width kernel
+///      in parallel mode), the split polygons of one placement as one batch
+///      with check_single only. Sequential mode runs every member with a
+///      per-object part (intra members, spacing notches and same-object
+///      pairs); parallel mode only intra members, as the row kernel covers
+///      spacing.
+///   4. If a member is pair-class: one partition with the group's inflate,
+///      then over the clips overlapping the scope, distance members sweep
+///      candidate pairs (sequential) or run the row pipeline — the calling
+///      thread packs each row's clips while up to `cfg.pipeline_depth`
+///      earlier rows run on device streams, all distance members evaluated
+///      by one multi-config kernel (sweep::async_multi_check); whole-clip
+///      members run check_shapes once per clip, a clip whose content is a
+///      translation of an evaluated one replaying that result (clip_memo,
+///      task_prune.hpp); enclosure members report the uncontained polygons
+///      of the inner objects of those clips.
 ///
-/// With a window (a region), intra and distance groups examine only objects
-/// near its rects and their scope is the window. A distance group collects
-/// around each rect's reach: the rect joined with every object overlapping
-/// it. Whole-clip groups partition every object of every top cell; their
-/// scope is the window plus the extent of every clip overlapping one of its
-/// rects, and they evaluate every clip overlapping the scope.
+/// A violation touching the scope has an edge on an object overlapping it;
+/// its partner lies within the member's inflate, at most the group's, so
+/// both share one clip, whose extent contains that object.
 [[nodiscard]] group_report run_group(const engine_config& cfg, stream_pool& streams,
                                      layout_snapshot& snap, std::span<const exec_plan> plans,
                                      const plan_group& g,

@@ -220,15 +220,12 @@ std::vector<plan_group> group_plans(std::span<const exec_plan> plans) {
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const exec_plan& p = plans[i];
     auto it = std::find_if(groups.begin(), groups.end(), [&](const plan_group& g) {
-      return g.cls == p.cls && g.layer1 == p.layer1 && g.layer2 == p.layer2 &&
-             g.two_layer == p.two_layer && g.whole_clip == p.whole_clip;
+      return g.layer1 == p.layer1 && g.layer2 == p.layer2 && g.two_layer == p.two_layer;
     });
-    if (it == groups.end()) {
-      groups.push_back({p.cls, p.layer1, p.layer2, p.two_layer, p.whole_clip, p.inflate, {i}});
-    } else {
-      it->inflate = std::max(it->inflate, p.inflate);
-      it->members.push_back(i);
-    }
+    if (it == groups.end()) it = groups.insert(it, {p.layer1, p.layer2, p.two_layer, 0, {}});
+    // An intra plan's inflate is its width; it must not coarsen the partition.
+    if (p.cls == plan_class::pair) it->inflate = std::max(it->inflate, p.inflate);
+    it->members.push_back(i);
   }
   return groups;
 }

@@ -18,10 +18,10 @@
 //     set (check_shapes) that the driver evaluates once per partition clip.
 //
 // Plans exist so the pipeline driver (pipeline.hpp) can be written once:
-// every plan belongs to a group (group_plans below — the deck-batching key),
-// and every group runs through one dispatch: intra groups walk one layer's
-// placements, pair groups enumerate objects, partition and evaluate each
-// clip, sharing that work across the group's rules.
+// every plan belongs to a group (group_plans below — the deck-batching key:
+// the objects a plan reads), and every group runs through one body that
+// collects its objects once, runs each member's per-object part and, when a
+// member partitions, evaluates each clip once for every member.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ namespace odrc::engine {
 
 struct check_report;  // engine.hpp
 
-/// Which group walk a compiled rule runs in.
+/// Whether a compiled rule partitions.
 enum class plan_class : std::uint8_t {
   intra,  ///< width / area / rectilinear / custom — per-object only
   pair,   ///< spacing / enclosure / derived-area / coloring — partition clips
@@ -103,27 +103,29 @@ struct exec_plan {
                     check_report& report) const;
 };
 
-/// Compile one rule. Every rule kind compiles; `cls` tells the caller which
-/// group walk runs the plan.
+/// Compile one rule. Every rule kind compiles; `cls` tells the group body
+/// whether the plan partitions.
 [[nodiscard]] exec_plan compile_plan(const rules::rule& r);
 
-/// A batch of plans sharing the same check-object space and evaluator:
-/// identical (cls, layer1, layer2, two_layer, whole_clip), so several rules
-/// pay for one walk. An intra group walks its layer's placements once (every
-/// populated layer for `any_layer`, e.g. SHAPES) and evaluates every member
-/// per object. A pair group enumerates instances, computes the row partition
-/// and (in parallel mode) packs row edges ONCE with the group-maximal
-/// interaction distance, then evaluates every member plan's predicate per
-/// candidate — one upload, N rules; whole-clip pair groups evaluate every
-/// member's check_shapes per clip.
+/// A batch of plans reading the same check objects: identical (layer1,
+/// layer2, two_layer), so several rules pay for one collection, one row
+/// partition and one walk over the clips, whatever their evaluators. An
+/// intra plan keys on its one layer (compile_plan sets its layer2 =
+/// layer1), so M1 width, area and spacing are one group and SHAPES
+/// (any_layer) is a group of its own. The group body (pipeline.hpp
+/// run_group) runs every member's per-object part on each object, and, when
+/// a member is pair-class, partitions the objects ONCE with the
+/// group-maximal interaction distance and evaluates each clip for every
+/// member: distance members per candidate pair (in parallel mode one upload
+/// per row, N rules), whole-clip members over the clip's shape set.
 struct plan_group {
-  plan_class cls = plan_class::intra;
   db::layer_t layer1 = rules::any_layer;
   db::layer_t layer2 = rules::any_layer;
   bool two_layer = false;
-  bool whole_clip = false;
-  coord_t inflate = 0;                ///< max over member plans (sound for all)
-  std::vector<std::size_t> members;   ///< indices into the compiled plan list
+  /// Max over pair-class members (sound for all of them); an intra member's
+  /// inflate is its width, which must not coarsen the partition.
+  coord_t inflate = 0;
+  std::vector<std::size_t> members;  ///< indices into the compiled plan list
 };
 
 /// Group every plan of a compiled deck. Groups preserve first-appearance

@@ -273,7 +273,7 @@ recheck_result session::recheck(const diff_callback& on_diff) {
       std::vector<engine::exec_plan> run_plans;
       for (const job& jb : jobs) {
         run_plans.push_back(plans_[jb.plan]);
-        // As compiled for that layer: it then shares the layer's intra walk.
+        // As compiled for that layer: it then joins that layer's group.
         if (jb.layer != rules::any_layer) {
           run_plans.back().layer1 = run_plans.back().layer2 = jb.layer;
         }

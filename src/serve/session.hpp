@@ -34,7 +34,8 @@
 //     the windows carrying L, and purges only entries on L: its violations
 //     are per polygon, and the edits behind a window changed no polygon on
 //     a layer the window does not carry;
-//   - pair and intra violations: S is the region. One edge lies in some D
+//   - pair and intra violations: S holds the region (it is the region
+//     unless a whole-clip rule shares the group). One edge lies in some D
 //     (a pair violation involves an edited polygon itself; an enclosure
 //     "uncovered inner" violation's inner lies inside the removed outer's
 //     MBR ⊆ D) and the other within the rule distance of it, inside W;

@@ -19,11 +19,11 @@ std::vector<checks::violation> norm(std::vector<checks::violation> v) {
   return v;
 }
 
-// A deck built to batch: 11 rules over 4 layers in 6 groups. 7 edge-pair
-// rules share 3 groups — M1 spacing ×3 (one with a PRL tier), M2 spacing ×2,
-// V1-in-M1 enclosure ×2 — the two M1 intra rules (width, area) share one
-// walk, and two whole-clip pair rules (derived-area, coloring) form groups
-// of their own: every plan_class and every group kind is present.
+// A deck built to batch: 11 rules over 4 layers in 3 groups, one per layer
+// set, each mixing evaluators. M1: spacing ×3 (one with a PRL tier), width
+// and area; M2: spacing ×2 and coloring; V1-in-M1: enclosure ×2 and
+// derived-area. Every plan_class and every member role (per-object,
+// distance, whole-clip, containment) is present.
 std::vector<rules::rule> batched_deck() {
   return {
       rules::layer(layers::M1).spacing().greater_than(tech::wire_space),
@@ -54,49 +54,30 @@ TEST(DeckBatching, GroupingKeyIsLayerSet) {
   for (const rules::rule& r : batched_deck()) plans.push_back(compile_plan(r));
   const std::vector<plan_group> groups = group_plans(plans);
 
-  ASSERT_EQ(groups.size(), 6u);
-  // Deck order preserved: M1 spacing, M2 spacing, (V1, M1) enclosure, the M1
-  // intra group, then the whole-clip groups. Neither intra nor whole-clip
-  // plans share a group with edge-pair plans on the same layers.
-  EXPECT_EQ(groups[0].cls, plan_class::pair);
+  // One group per layer set, whatever the members' evaluators; deck order
+  // preserved.
+  ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].layer1, layers::M1);
+  EXPECT_EQ(groups[0].layer2, layers::M1);
   EXPECT_FALSE(groups[0].two_layer);
-  EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 1, 2}));
-  // Group inflation is the max over members: the PRL rule's 24 dbu tier.
+  EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 1, 2, 7, 8}));
+  // Group inflation is the max over pair-class members: the PRL rule's 24
+  // dbu tier, not the width rule's distance.
   EXPECT_EQ(groups[0].inflate, 24);
 
+  // Spacing and coloring on M2: the same-mask spacing of 60 dominates.
   EXPECT_EQ(groups[1].layer1, layers::M2);
-  EXPECT_EQ(groups[1].members, (std::vector<std::size_t>{3, 4}));
-  EXPECT_EQ(groups[1].inflate, tech::wire_space);
+  EXPECT_FALSE(groups[1].two_layer);
+  EXPECT_EQ(groups[1].members, (std::vector<std::size_t>{3, 4, 10}));
+  EXPECT_EQ(groups[1].inflate, 60);
 
+  // Enclosure and derived-area over (V1, M1): the derived-area rule's inflate
+  // 0 does not lower the enclosure distance.
   EXPECT_EQ(groups[2].layer1, layers::V1);
   EXPECT_EQ(groups[2].layer2, layers::M1);
   EXPECT_TRUE(groups[2].two_layer);
-  EXPECT_EQ(groups[2].members, (std::vector<std::size_t>{5, 6}));
+  EXPECT_EQ(groups[2].members, (std::vector<std::size_t>{5, 6, 9}));
   EXPECT_EQ(groups[2].inflate, tech::via_enclosure);
-  EXPECT_FALSE(groups[2].whole_clip);
-
-  // Width and area on M1: one walk over the M1 placements.
-  EXPECT_EQ(groups[3].cls, plan_class::intra);
-  EXPECT_EQ(groups[3].layer1, layers::M1);
-  EXPECT_FALSE(groups[3].two_layer);
-  EXPECT_EQ(groups[3].members, (std::vector<std::size_t>{7, 8}));
-
-  // Derived-area: inflate 0, both operand layers.
-  EXPECT_EQ(groups[4].cls, plan_class::pair);
-  EXPECT_TRUE(groups[4].whole_clip);
-  EXPECT_EQ(groups[4].layer1, layers::V1);
-  EXPECT_EQ(groups[4].layer2, layers::M1);
-  EXPECT_TRUE(groups[4].two_layer);
-  EXPECT_EQ(groups[4].members, (std::vector<std::size_t>{9}));
-  EXPECT_EQ(groups[4].inflate, 0);
-
-  // Coloring: inflate is the same-mask spacing.
-  EXPECT_TRUE(groups[5].whole_clip);
-  EXPECT_EQ(groups[5].layer1, layers::M2);
-  EXPECT_FALSE(groups[5].two_layer);
-  EXPECT_EQ(groups[5].members, (std::vector<std::size_t>{10}));
-  EXPECT_EQ(groups[5].inflate, 60);
 
   // SHAPES-style rules (any layer) share one group apart from the per-layer
   // intra rules.
@@ -166,7 +147,7 @@ TEST(DeckBatching, AmortizationStatsRecorded) {
   drc_engine batched;
   batched.add_rules(deck);
   const deck_report dr = batched.check_deck(lib);
-  ASSERT_EQ(dr.groups.size(), 6u);
+  ASSERT_EQ(dr.groups.size(), 3u);
   std::vector<int> seen(deck.size(), 0);
   std::size_t shared = 0;  // rules in multi-member groups
   for (const group_timing& g : dr.groups) {
@@ -174,7 +155,7 @@ TEST(DeckBatching, AmortizationStatsRecorded) {
     if (g.members.size() > 1) shared += g.members.size();
     EXPECT_GT(g.seconds, 0.0);
   }
-  EXPECT_EQ(shared, 9u);  // one-member groups batch nothing
+  EXPECT_EQ(shared, 11u);  // one-member groups batch nothing
   EXPECT_EQ(seen, std::vector<int>(deck.size(), 1));
 }
 
@@ -200,6 +181,42 @@ TEST(DeckBatching, AblationsComposeWithBatching) {
   drc_engine b(no_memo);
   b.add_rules(deck);
   EXPECT_EQ(expected, norm(b.check(lib).violations));
+}
+
+// A single-use master with many polygons is split into polygon objects, and
+// the per-object pass evaluates one placement's split polygons as one batch:
+// check_single only, since the clip sweep checks their pairs. A spacing
+// violation between two top-cell polygons is reported once, in both modes,
+// next to a width rule in the same group.
+TEST(DeckBatching, SplitMasterPairReportedOnce) {
+  constexpr db::layer_t L = 1;
+  db::library lib;
+  const db::cell_id top = lib.add_cell("top");
+  for (coord_t i = 0; i < 12; ++i) lib.at(top).add_rect(L, rect{i * 100, 0, i * 100 + 20, 200});
+  lib.at(top).add_rect(L, rect{30, 0, 50, 200});  // 10 from the first rect
+  const std::vector<rules::rule> deck = {rules::layer(L).width().greater_than(18),
+                                         rules::layer(L).spacing().greater_than(18)};
+
+  const exec_plan spacing = compile_plan(deck[1]);
+  const polygon a = polygon::from_rect({0, 0, 20, 200});
+  const polygon b = polygon::from_rect({30, 0, 50, 200});
+  std::vector<checks::violation> want;
+  checks::check_stats cs;
+  spacing.check_pair(a, a.mbr(), b, b.mbr(), want, cs);
+  ASSERT_FALSE(want.empty());
+
+  for (const mode m : {mode::sequential, mode::parallel}) {
+    engine_config cfg;
+    cfg.run_mode = m;
+    drc_engine e(cfg);
+    e.add_rules(deck);
+    const deck_report dr = e.check_deck(lib);
+    ASSERT_EQ(dr.groups.size(), 1u);
+    EXPECT_TRUE(dr.per_rule[0].violations.empty()) << "mode=" << static_cast<int>(m);
+    // Sizes first: norm() drops duplicates.
+    EXPECT_EQ(dr.per_rule[1].violations.size(), want.size()) << "mode=" << static_cast<int>(m);
+    EXPECT_EQ(norm(dr.per_rule[1].violations), norm(want)) << "mode=" << static_cast<int>(m);
+  }
 }
 
 }  // namespace

@@ -322,6 +322,22 @@ std::vector<rules::rule> derived_deck() {
   };
 }
 
+// Mixed layer sets: a whole-clip rule and a distance rule read the same
+// objects and run as one group (V1 in M1, and M2), so a windowed recheck
+// closes the distance rule's scope over whole clips too; M1 width and
+// spacing share a group that the any-layer shape rule joins for an M1 edit.
+std::vector<rules::rule> mixed_deck() {
+  return {
+      rules::layer(V1).enclosed_by(M1).greater_than(4).named("V1.EN"),
+      rules::layer(V1).overlap_with(M1).area_at_least(400).named("V1.M1.OV"),
+      rules::layer(M2).spacing().greater_than(25).named("M2.S"),
+      rules::layer(M2).two_colorable(40).named("M2.MP"),
+      rules::layer(M1).width().greater_than(18).named("M1.W"),
+      rules::layer(M1).spacing().greater_than(25).named("M1.S"),
+      rules::polygons().is_rectilinear().named("SHAPES"),
+  };
+}
+
 // Keys of a fresh deck check of make() with `scripts` applied, on a new
 // engine and snapshot.
 std::vector<std::string> fresh_keys(const std::vector<std::string>& scripts,
@@ -457,7 +473,8 @@ TEST(ServeRecheck, LayerSkipMatchesFreshCheck) {
   const std::vector<rect> bands = engine::plan_shards(make_lib(), 2);
   ASSERT_EQ(bands.size(), 2u);
   const int seam = bands[0].y_max;
-  for (const std::vector<rules::rule>& deck : {make_deck(), derived_deck()}) {
+  for (const std::vector<rules::rule>& deck :
+       {make_deck(), derived_deck(), mixed_deck()}) {
     session inc(make_lib(), deck);
     session shard0(make_lib(), deck), shard1(make_lib(), deck);
     shard0.set_shard({bands[0], 0, 2});
@@ -671,7 +688,8 @@ db::library make_nested_lib() {
 TEST(ServeRecheck, ArrayMasterEditMatchesFreshCheck) {
   const std::vector<rect> bands = engine::plan_shards(make_nested_lib(), 2);
   ASSERT_EQ(bands.size(), 2u);
-  for (const std::vector<rules::rule>& deck : {make_deck(), derived_deck()}) {
+  for (const std::vector<rules::rule>& deck :
+       {make_deck(), derived_deck(), mixed_deck()}) {
     session inc(make_nested_lib(), deck);
     session shard0(make_nested_lib(), deck), shard1(make_nested_lib(), deck);
     shard0.set_shard({bands[0], 0, 2});

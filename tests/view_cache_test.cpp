@@ -92,11 +92,11 @@ TEST(CollectInstances, WindowPruneEqualsHaloFilterOfFullEnumeration) {
   layout_snapshot win_snap(g.lib);
   const std::vector<inst> full = collect_instances(full_snap, tops[0], layer);
   const std::vector<inst> windowed =
-      collect_instances(win_snap, tops[0], layer, window, inflate);
+      collect_instances(win_snap, tops[0], layer, geo::region(halo));
   ASSERT_FALSE(full.empty());
 
   // The windowed enumeration is exactly the full enumeration filtered by
-  // halo overlap — the hoisted loop-invariant halo must not change pruning.
+  // halo overlap.
   std::vector<std::tuple<db::cell_id, std::uint32_t, rect>> expect;
   for (const inst& in : full) {
     if (halo.overlaps(in.mbr)) expect.emplace_back(in.master, in.poly_index, in.mbr);
