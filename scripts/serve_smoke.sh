@@ -113,7 +113,13 @@ cli query 909990 909990 910020 910020 keys | head -1 | grep -Eq "^ok total [1-9]
 cli query 5000000 5000000 5000010 5000010 | head -1 | grep -q "^ok total 0" \
   || { echo "FAIL: query reported phantom hits"; exit 1; }
 
-stats_out=$(cli stats)
+# The flusher counts a delta as delivered only after its write returns, and
+# the subscriber may read the delta and exit first: poll stats for up to 5 s.
+for _ in $(seq 1 50); do
+  stats_out=$(cli stats)
+  grep -Eq "subs_delivered [1-9]" <<<"$stats_out" && break
+  sleep 0.1
+done
 grep -q "requests_total" <<<"$stats_out"
 grep -Eq "subs_published [1-9]" <<<"$stats_out" || { echo "FAIL: no published deltas in stats"; exit 1; }
 grep -Eq "subs_delivered [1-9]" <<<"$stats_out" || { echo "FAIL: no delivered deltas in stats"; exit 1; }

@@ -269,7 +269,7 @@ check_report deep_checker::run_enclosure(const db::library& lib, db::layer_t inn
     const master_view& va = inner_views[a.master];
     for (std::size_t k = 0; k < va.polys.size(); ++k) {
       if (contained[i][k]) continue;
-      checks::report_uncontained(va.polys[k]->transformed(a.t), inner, outer, report.violations);
+      checks::report_uncontained(a.t.apply(va.polys[k]->mbr()), inner, outer, report.violations);
     }
   }
   return report;

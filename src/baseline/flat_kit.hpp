@@ -64,7 +64,7 @@ inline void flat_enclosure(std::span<const db::flat_polygon> inner_polys,
   if (report_uncontained_shapes) {
     for (std::size_t i = 0; i < ni; ++i) {
       if (!contained[i]) {
-        checks::report_uncontained(inner_polys[i].poly, inner, outer, report.violations);
+        checks::report_uncontained(mbrs[i], inner, outer, report.violations);
       }
     }
   }

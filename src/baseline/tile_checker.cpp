@@ -178,21 +178,14 @@ check_report tile_checker::run_enclosure(const db::library& lib, db::layer_t inn
         continue;
       }
       for (const db::flat_polygon& op : out_sub) {
-        if (!op.poly.mbr().contains(im)) continue;
-        bool all_in = true;
-        for (const point& p : in_sub[i].poly.vertices()) {
-          if (!op.poly.contains(p)) {
-            all_in = false;
-            break;
-          }
-        }
-        if (all_in) {
+        if (checks::polygon_inside(in_sub[i].poly, im, op.poly, op.poly.mbr(),
+                                   local.check_stats)) {
           contained[i] = 1;
           break;
         }
       }
       if (!contained[i]) {
-        checks::report_uncontained(in_sub[i].poly, inner, outer, local.violations);
+        checks::report_uncontained(im, inner, outer, local.violations);
       }
     }
   });

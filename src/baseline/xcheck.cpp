@@ -98,21 +98,13 @@ check_report xcheck::run_enclosure(const db::library& lib, db::layer_t inner, db
     const rect im = ip.poly.mbr();
     bool contained = false;
     for (const db::flat_polygon& op : outer_polys) {
-      if (!op.poly.mbr().contains(im)) continue;
-      bool all_in = true;
-      for (const point& p : ip.poly.vertices()) {
-        if (!op.poly.contains(p)) {
-          all_in = false;
-          break;
-        }
-      }
-      if (all_in) {
+      if (checks::polygon_inside(ip.poly, im, op.poly, op.poly.mbr(), report.check_stats)) {
         contained = true;
         break;
       }
     }
     if (!contained) {
-      checks::report_uncontained(ip.poly, inner, outer, report.violations);
+      checks::report_uncontained(im, inner, outer, report.violations);
     }
   }
   return report;

@@ -22,11 +22,13 @@ struct check_stats {
   std::uint64_t edge_pairs_tested = 0;
   std::uint64_t polygon_pairs_tested = 0;
   std::uint64_t polygons_tested = 0;
+  std::uint64_t exact_containment_tests = 0;  ///< polygon_inside calls past the box path
 
   check_stats& operator+=(const check_stats& o) {
     edge_pairs_tested += o.edge_pairs_tested;
     polygon_pairs_tested += o.polygon_pairs_tested;
     polygons_tested += o.polygons_tested;
+    exact_containment_tests += o.exact_containment_tests;
     return *this;
   }
 };
@@ -63,23 +65,48 @@ void check_spacing_notch(const polygon& poly, std::int16_t layer, coord_t min_sp
 void check_spacing_notch(const polygon& poly, std::int16_t layer, const spacing_table& table,
                          std::vector<violation>& out, check_stats& stats);
 
-/// True iff `inner` lies inside `outer`: every inner vertex is inside or on
-/// the boundary of `outer`. Sufficient for the rectangle/wire geometry this
-/// engine targets.
+/// True iff the ring's point set is exactly its MBR: four vertices that are
+/// the MBR's corners in ring order, either orientation, from any start. A
+/// zero-width or zero-height box (a segment or a point) counts. Rings whose
+/// vertices repeat otherwise or run back along one side do not, even where
+/// every edge is axis-parallel.
+[[nodiscard]] bool is_box(const polygon& p);
+
+/// True iff `inner` lies inside `outer`, boundaries included, as point sets
+/// under polygon::contains. Exact for rings with axis-parallel edges (the
+/// rings polygon::contains is defined for), convex or not: it samples every
+/// face, edge and vertex of the grid that both rings' vertex coordinates
+/// span inside inner's MBR. Cost O(gx·gy·(ni + no)) for gx × gy grid lines
+/// in that MBR; a via in a metal shape has a handful.
 [[nodiscard]] bool polygon_inside(const polygon& inner, const polygon& outer);
 
-/// Enclosure check of `inner` (e.g. a via cut) by `outer` (e.g. metal):
-/// reports margin violations on same-direction facing edge pairs. Returns
-/// polygon_inside(inner, outer) (callers aggregate containment over all
-/// candidate outers; an uncontained via is reported by report_uncontained).
+/// polygon_inside() with the O(1) paths: false unless outer's MBR `om`
+/// contains inner's MBR `im`, then true if `outer` is a box (is_box); only
+/// other outers go to the exact test, counted in
+/// `stats.exact_containment_tests`.
+[[nodiscard]] bool polygon_inside(const polygon& inner, const rect& im, const polygon& outer,
+                                  const rect& om, check_stats& stats);
+
+/// Enclosure margins of `inner` (e.g. a via cut) by `outer` (e.g. metal):
+/// reports margin violations on same-direction facing edge pairs. Whether
+/// `inner` lies inside `outer` at all is polygon_inside's question.
+void check_enclosure_margins(const polygon& inner, const polygon& outer,
+                             std::int16_t inner_layer, std::int16_t outer_layer,
+                             coord_t min_enclosure, std::vector<violation>& out,
+                             check_stats& stats);
+
+/// check_enclosure_margins, then whether `inner` lies inside `outer`
+/// (callers aggregate containment over all candidate outers; an uncontained
+/// via is reported by report_uncontained).
 bool check_enclosure(const polygon& inner, const polygon& outer, std::int16_t inner_layer,
                      std::int16_t outer_layer, coord_t min_enclosure, std::vector<violation>& out,
                      check_stats& stats);
 
 /// Report an enclosure violation for an inner shape contained by no outer
-/// shape (margin "negative infinity"): emitted with the inner MBR diagonal.
-void report_uncontained(const polygon& inner, std::int16_t inner_layer, std::int16_t outer_layer,
-                        std::vector<violation>& out);
+/// shape (margin "negative infinity"): emitted with the diagonal of the
+/// inner shape's MBR `inner_mbr`.
+void report_uncontained(const rect& inner_mbr, std::int16_t inner_layer,
+                        std::int16_t outer_layer, std::vector<violation>& out);
 
 /// True iff the minimum distance between the two polygons' boundaries is
 /// strictly below `d` (abutting or overlapping shapes count). Used to build

@@ -13,26 +13,40 @@ using checks::violation;
 using db::cell_id;
 using db::layer_t;
 
+// A candidate pair of check objects: (index into a group's a_insts, index of
+// the other object: into b_insts for two-layer groups, a_insts otherwise).
+using object_pair = std::pair<std::uint32_t, std::uint32_t>;
+
 // Visit, in collect_instances' order, the check objects of one top cell on
-// one layer that overlap a rect of `window` (every object without one).
+// one layer that overlap a rect of `window` (every object without one). With
+// `memo_mbrs` the placements' layer MBRs come from the snapshot's memo
+// (placed_mbrs); without it, from the master views: an unwindowed walk that
+// keeps no object builds no memo.
 template <class Visit>
 void for_each_object(layout_snapshot& snap, cell_id top, layer_t layer,
-                     const std::optional<geo::region>& window, Visit&& visit) {
+                     const std::optional<geo::region>& window, Visit&& visit,
+                     bool memo_mbrs = true) {
   const instance_set& set = snap.instances(top, layer);
-  const std::span<const rect> mbrs = snap.placed_mbrs(top, layer);
-  view_cache& views = snap.views();
+  const std::span<const rect> mbrs =
+      memo_mbrs || window ? snap.placed_mbrs(top, layer) : std::span<const rect>{};
+  // One view lookup per master, not per placement.
+  std::vector<const master_layer_view*> view_of(snap.lib().cell_count(), nullptr);
+  const auto view = [&](cell_id m) -> const master_layer_view& {
+    if (!view_of[m]) view_of[m] = &snap.views().get(m, layer);
+    return *view_of[m];
+  };
   for (std::size_t i = 0; i < set.placed.size(); ++i) {
-    const rect& cell_mbr = mbrs[i];
-    if (cell_mbr.empty() || (window && !window->overlaps(cell_mbr))) continue;
     const db::placed_cell& pc = set.placed[i];
+    const rect cell_mbr = mbrs.empty() ? pc.to_top.apply(view(pc.master).mbr) : mbrs[i];
+    if (cell_mbr.empty() || (window && !window->overlaps(cell_mbr))) continue;
     // A single-use master with many polygons on the layer splits into
     // polygon objects.
     if (set.occurrences(pc.master) > 1 ||
-        views.get(pc.master, layer).poly_indices.size() <= split_poly_threshold) {
+        view(pc.master).poly_indices.size() <= split_poly_threshold) {
       visit(inst{pc.master, whole_cell, pc.to_top, cell_mbr});
       continue;
     }
-    const master_layer_view& v = views.get(pc.master, layer);
+    const master_layer_view& v = view(pc.master);
     for (std::uint32_t k = 0; k < v.poly_indices.size(); ++k) {
       const rect pm = pc.to_top.apply(v.poly_mbrs[k]);
       if (window && !window->overlaps(pm)) continue;
@@ -71,32 +85,6 @@ partition::partition_result partition_instances(const engine_config& cfg,
   report.rows += part.rows.size();
   report.clips += part.clip_count();
   return part;
-}
-
-poly_set transformed_polys(const db::cell& c, const master_layer_view& v, const transform& t) {
-  poly_set ps;
-  ps.polys.reserve(v.poly_indices.size());
-  ps.mbrs.reserve(v.poly_indices.size());
-  for (std::uint32_t pi : v.poly_indices) {
-    ps.polys.push_back(t.is_identity() ? c.polygons()[pi].poly
-                                       : c.polygons()[pi].poly.transformed(t));
-    ps.mbrs.push_back(ps.polys.back().mbr());
-  }
-  return ps;
-}
-
-poly_set polys_of(const db::library& lib, view_cache& views, const inst& in, db::layer_t layer,
-                  const transform& extra) {
-  const db::cell& c = lib.at(in.master);
-  const master_layer_view& v = views.get(in.master, layer);
-  const transform t = extra.compose(in.t);
-  if (!in.split()) return transformed_polys(c, v, t);
-  poly_set ps;
-  const std::uint32_t pi = v.poly_indices[in.poly_index];
-  ps.polys.push_back(t.is_identity() ? c.polygons()[pi].poly
-                                     : c.polygons()[pi].poly.transformed(t));
-  ps.mbrs.push_back(ps.polys.back().mbr());
-  return ps;
 }
 
 rect clip_extent(const partition::clip& c, std::span<const rect> mbrs) {
@@ -273,14 +261,150 @@ class object_evaluator {
   std::vector<std::uint32_t> batch_;  ///< its split polygons so far
 };
 
-// OR into `flags` (one per polygon of `pa`) which of pa's polygons lie inside
-// some polygon of `pb`; both sets in one common frame.
-void mark_contained(const poly_set& pa, const poly_set& pb, std::span<std::uint8_t> flags) {
-  for (std::size_t i = 0; i < pa.polys.size(); ++i) {
-    for (std::size_t j = 0; j < pb.polys.size() && !flags[i]; ++j) {
-      if (pb.mbrs[j].contains(pa.mbrs[i]) && checks::polygon_inside(pa.polys[i], pb.polys[j])) {
-        flags[i] = 1;
-      }
+// The polygons of one check object, or of a master, in one frame, with their
+// MBRs there: read in place from the master's storage when the frame is the
+// master's own, else from copies placed into a placed_polys buffer.
+struct object_polys {
+  std::span<const db::polygon_elem> elems;  ///< the master's polygons
+  std::span<const std::uint32_t> idx;       ///< into elems, parallel to mbrs
+  const polygon* placed = nullptr;          ///< or placed copies, parallel to mbrs
+  std::span<const rect> mbrs;
+
+  [[nodiscard]] std::size_t size() const { return mbrs.size(); }
+  [[nodiscard]] const polygon& operator[](std::size_t k) const {
+    return placed ? placed[k] : elems[idx[k]].poly;
+  }
+};
+
+// A master's layer polygons as (view-local indices, master-frame MBRs):
+// every one, or the one of a split object (`poly_index`).
+std::pair<std::span<const std::uint32_t>, std::span<const rect>> object_range(
+    const master_layer_view& v, std::uint32_t poly_index = whole_cell) {
+  const std::span<const std::uint32_t> idx(v.poly_indices.data(), v.poly_indices.size());
+  const std::span<const rect> mbrs(v.poly_mbrs.data(), v.poly_mbrs.size());
+  if (poly_index == whole_cell) return {idx, mbrs};
+  return {idx.subspan(poly_index, 1), mbrs.subspan(poly_index, 1)};
+}
+
+// Polygons placed into one frame, appended; reused across objects.
+class placed_polys {
+ public:
+  // Polygons `idx` of `c` (master-frame MBRs `mbrs`) in the frame `t`: in
+  // place when `t` is the identity, else placed here. A placed view stays
+  // valid until the next place() or clear().
+  object_polys place(const db::cell& c, std::span<const std::uint32_t> idx,
+                     std::span<const rect> mbrs, const transform& t) {
+    if (t.is_identity()) return {c.polygons(), idx, nullptr, mbrs};
+    const std::size_t first = append(c, idx, mbrs, t);
+    return view(first, idx.size());
+  }
+
+  // Append the placed copies; returns the offset of the first.
+  std::size_t append(const db::cell& c, std::span<const std::uint32_t> idx,
+                     std::span<const rect> mbrs, const transform& t) {
+    const std::size_t first = polys_.size();
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      polys_.push_back(c.polygons()[idx[k]].poly.transformed(t));
+      mbrs_.push_back(t.apply(mbrs[k]));
+    }
+    return first;
+  }
+
+  [[nodiscard]] object_polys view(std::size_t first, std::size_t n) const {
+    return {{}, {}, polys_.data() + first, std::span(mbrs_).subspan(first, n)};
+  }
+
+  void clear() {
+    polys_.clear();
+    mbrs_.clear();
+  }
+
+ private:
+  std::vector<polygon> polys_;
+  std::vector<rect> mbrs_;
+};
+
+// Top-frame polygons of a group's check objects, each resolved at most once
+// until clear(): an identity-frame object (every split top-cell polygon)
+// reads its master's storage in place, any other is placed once.
+class object_geometry {
+ public:
+  // Candidate pairs pair an object of `a` (on layer `la`) with one of `b`
+  // (on `lb`); `b` is `a` itself for a one-layer group.
+  object_geometry(const db::library& lib, view_cache& views, std::span<const inst> a, layer_t la,
+                  std::span<const inst> b, layer_t lb)
+      : lib_(lib), views_(views), a_(a), b_(b), la_(la), lb_(lb),
+        b_first_(a.data() == b.data() ? 0 : a.size()) {}
+
+  // The top-frame polygons of a[ia] and b[ib].
+  std::pair<object_polys, object_polys> pair(std::uint32_t ia, std::uint32_t ib) {
+    if (slot_.empty()) slot_.assign(b_first_ + b_.size(), none);
+    const std::size_t sa = resolve(ia, a_[ia], la_);
+    const std::size_t sb = resolve(b_first_ + ib, b_[ib], lb_);
+    return {get(sa), get(sb)};
+  }
+
+  void clear() {
+    for (const entry& e : entries_) slot_[e.id] = none;
+    entries_.clear();
+    buf_.clear();
+  }
+
+ private:
+  static constexpr std::uint32_t none = 0xFFFFFFFFu;
+  struct entry {
+    std::size_t id;
+    object_polys in_place;         ///< identity frame
+    std::size_t first = 0, n = 0;  ///< other frames: the copies in buf_
+  };
+
+  // The entry of object `id`, made on first use.
+  std::size_t resolve(std::size_t id, const inst& in, layer_t layer) {
+    if (slot_[id] != none) return slot_[id];
+    slot_[id] = static_cast<std::uint32_t>(entries_.size());
+    const db::cell& c = lib_.at(in.master);
+    const auto [idx, mbrs] = object_range(views_.get(in.master, layer), in.poly_index);
+    if (in.t.is_identity()) {
+      entries_.push_back({id, {c.polygons(), idx, nullptr, mbrs}});
+    } else {
+      entries_.push_back({id, {}, buf_.append(c, idx, mbrs, in.t), idx.size()});
+    }
+    return slot_[id];
+  }
+
+  [[nodiscard]] object_polys get(std::size_t slot) const {
+    const entry& e = entries_[slot];
+    return e.n ? buf_.view(e.first, e.n) : e.in_place;
+  }
+
+  const db::library& lib_;
+  view_cache& views_;
+  std::span<const inst> a_, b_;
+  layer_t la_, lb_;
+  std::size_t b_first_;              ///< id of b[0]: objects of a, then of b
+  std::vector<std::uint32_t> slot_;  ///< per id: its entry, or none
+  std::vector<entry> entries_;
+  placed_polys buf_;
+};
+
+// One plan's pair predicate over every polygon pair of two objects in one
+// frame.
+void check_pairs(const exec_plan& p, const object_polys& pa, const object_polys& pb,
+                 std::vector<violation>& out, checks::check_stats& cs) {
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    for (std::size_t j = 0; j < pb.size(); ++j) {
+      p.check_pair(pa[i], pa.mbrs[i], pb[j], pb.mbrs[j], out, cs);
+    }
+  }
+}
+
+// Set `flags[i]` (one per polygon of `pa`) when pa's polygon i lies inside
+// some polygon of `pb`; both in one frame.
+void mark_inside(const object_polys& pa, const object_polys& pb, std::span<std::uint8_t> flags,
+                 checks::check_stats& cs) {
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    for (std::size_t j = 0; j < pb.size() && !flags[i]; ++j) {
+      if (checks::polygon_inside(pa[i], pa.mbrs[i], pb[j], pb.mbrs[j], cs)) flags[i] = 1;
     }
   }
 }
@@ -343,10 +467,13 @@ group_report run_group(const engine_config& cfg, stream_pool& streams, layout_sn
       // No member partitions, so no object is kept: each goes to the
       // per-object pass (step 3) as it is collected by the window.
       for (const cell_id top : lib.top_cells()) {
-        for_each_object(snap, top, layer, window, [&](const inst& in) {
-          ++shared.instances;
-          eval.add(in);
-        });
+        for_each_object(
+            snap, top, layer, window,
+            [&](const inst& in) {
+              ++shared.instances;
+              eval.add(in);
+            },
+            /*memo_mbrs=*/false);
         eval.flush();
       }
       continue;
@@ -517,7 +644,7 @@ group_report run_group(const engine_config& cfg, stream_pool& streams, layout_sn
       // (a_insts index, index of the other object: b_insts for two-layer
       // groups, a_insts otherwise). Both modes enumerate them the same way.
       auto clip_pairs = [&](const partition::clip& clip, sweep::sweep_stats& ss) {
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+        std::vector<object_pair> pairs;
         std::vector<rect> clip_mbrs(clip.members.size());
         for (std::size_t k = 0; k < clip.members.size(); ++k) clip_mbrs[k] = mbrs[clip.members[k]];
         sweep::overlap_pairs_inflated(
@@ -541,82 +668,95 @@ group_report run_group(const engine_config& cfg, stream_pool& streams, layout_sn
         return pairs;
       };
 
-      // Evaluate one candidate object pair: every distance member's predicate
-      // (sequential mode only — in parallel mode the device already did) and,
-      // with containment members, the containment of a's polygons by b's.
+      // Candidate pairs of two whole isometric placements (memoization on)
+      // evaluate once per relative placement of B in A's frame, the memo
+      // key, in A's master frame; transform::inverse requires mag == 1, and
+      // magnified geometry scales the distances the memo caches. A memo miss
+      // reads A in place and places B once. Every other pair (split
+      // objects, magnification, memoization off) evaluates in top
+      // coordinates on the geometry of its clip's objects.
+      const auto memoized = [&](const inst& a, const inst& b) {
+        return !a.split() && !b.split() && cfg.enable_memoization && a.t.is_isometry() &&
+               b.t.is_isometry();
+      };
+      const auto key_of = [](const inst& a, const inst& b) {
+        return pair_key{a.master, b.master, a.t.inverse().compose(b.t)};
+      };
+      placed_polys rel_buf;
+      const auto master_pair = [&](const pair_key& key) {
+        const auto [ia, ma] = object_range(views.get(key.a, g.layer1));
+        const auto [ib, mb] = object_range(views.get(key.b, lb));
+        rel_buf.clear();
+        return std::pair{object_polys{lib.at(key.a).polygons(), ia, nullptr, ma},
+                         rel_buf.place(lib.at(key.b), ib, mb, key.rel)};
+      };
+      const std::span<const inst> others = g.two_layer ? b_insts : a_insts;
+      object_geometry objects(lib, views, a_insts, g.layer1, others, lb);
+
       const std::span<const std::size_t> edge_members =
           seq ? std::span<const std::size_t>(dist) : std::span<const std::size_t>{};
-      auto run_pair = [&](std::uint32_t ia, std::uint32_t ib) {
-        const inst& a = a_insts[ia];
-        const inst& b = g.two_layer ? b_insts[ib] : a_insts[ib];
-        const std::span<std::uint8_t> flags =
-            contain.empty() ? std::span<std::uint8_t>{} : flags_of(ia);
-        const bool contain_open = std::ranges::find(flags, 0) != flags.end();
-        if (!a.split() && !b.split() && cfg.enable_memoization && a.t.is_isometry() &&
-            b.t.is_isometry()) {
-          // Relative placement of B in A's frame — the memo key. Only valid
-          // for isometries: transform::inverse requires mag == 1, and
-          // magnified geometry scales the distances the memo caches.
-          const transform rel = a.t.inverse().compose(b.t);
-          const pair_key key{a.master, b.master, rel};
-          // The transformed geometry is shared across every memo miss of this
-          // pair; built lazily so all-hit pairs pay nothing.
-          std::optional<poly_set> pa, pb;
-          auto geometry = [&] {
-            if (pa) return;
-            pa = transformed_polys(lib.at(a.master), views.get(a.master, g.layer1), transform{});
-            pb = transformed_polys(lib.at(b.master), views.get(b.master, lb), rel);
-          };
-          for (const std::size_t k : edge_members) {
-            const std::vector<violation>* res = memos[k].find(key);
-            if (res) {
-              ++pr[k].prune.pairs_reused;
-            } else {
-              ++pr[k].prune.pairs_computed;
-              auto t = pr[k].phases.measure(phase::edge_check);
-              geometry();
-              std::vector<violation> computed;
-              for (std::size_t i = 0; i < pa->polys.size(); ++i) {
-                for (std::size_t j = 0; j < pb->polys.size(); ++j) {
-                  mp[k]->check_pair(pa->polys[i], pa->mbrs[i], pb->polys[j], pb->mbrs[j],
-                                    computed, pr[k].check_stats);
-                }
-              }
-              res = &memos[k].store(key, std::move(computed));
-            }
-            for (const violation& lv : *res) {
-              pr[k].violations.push_back(transformed(lv, a.t));
-            }
+
+      // One distance member's predicate over a clip's candidate pairs
+      // (sequential mode only; in parallel mode the device already did).
+      // True iff it evaluated the predicate, not only replayed results.
+      auto member_pairs = [&](std::size_t k, std::span<const object_pair> pairs) {
+        const exec_plan& p = *mp[k];
+        check_report& r = pr[k];
+        const std::size_t computed_before = r.prune.pairs_computed;
+        for (const auto& [ia, ib] : pairs) {
+          const inst& a = a_insts[ia];
+          const inst& b = others[ib];
+          if (!memoized(a, b)) {
+            ++r.prune.pairs_computed;
+            const auto [pa, pb] = objects.pair(ia, ib);
+            check_pairs(p, pa, pb, r.violations, r.check_stats);
+            continue;
           }
-          if (contain_open) {
-            const std::vector<std::uint8_t>* res = contain_memo.find(key);
-            if (!res) {
-              geometry();
-              std::vector<std::uint8_t> computed(pa->polys.size(), 0);
-              mark_contained(*pa, *pb, computed);
-              res = &contain_memo.store(key, std::move(computed));
-            }
-            for (std::size_t q = 0; q < flags.size(); ++q) flags[q] |= (*res)[q];
+          const pair_key key = key_of(a, b);
+          const std::vector<violation>* res = memos[k].find(key);
+          if (res) {
+            ++r.prune.pairs_reused;
+          } else {
+            ++r.prune.pairs_computed;
+            std::vector<violation> computed;
+            const auto [pa, pb] = master_pair(key);
+            check_pairs(p, pa, pb, computed, r.check_stats);
+            res = &memos[k].store(key, std::move(computed));
           }
-          return;
+          for (const violation& lv : *res) r.violations.push_back(transformed(lv, a.t));
         }
-        // Direct path (split objects, magnification, or memoization
-        // disabled): check in top coordinates. Geometry is shared across
-        // member plans.
-        if (!seq && !contain_open) return;
-        const poly_set pa = polys_of(lib, views, a, g.layer1, transform{});
-        const poly_set pb = polys_of(lib, views, b, lb, transform{});
-        for (const std::size_t k : edge_members) {
-          ++pr[k].prune.pairs_computed;
-          auto t = pr[k].phases.measure(phase::edge_check);
-          for (std::size_t i = 0; i < pa.polys.size(); ++i) {
-            for (std::size_t j = 0; j < pb.polys.size(); ++j) {
-              mp[k]->check_pair(pa.polys[i], pa.mbrs[i], pb.polys[j], pb.mbrs[j],
-                                pr[k].violations, pr[k].check_stats);
-            }
+        return r.prune.pairs_computed != computed_before;
+      };
+
+      // The containment of each inner object's polygons by the other
+      // objects of its clip's candidate pairs, computed once per pair and
+      // only while the inner object has an uncontained polygon. True iff it
+      // tested containment, not only replayed results.
+      auto contain_pairs = [&](std::span<const object_pair> pairs) {
+        bool tested = false;
+        for (const auto& [ia, ib] : pairs) {
+          const std::span<std::uint8_t> flags = flags_of(ia);
+          if (std::ranges::find(flags, 0) == flags.end()) continue;
+          const inst& a = a_insts[ia];
+          const inst& b = others[ib];
+          if (!memoized(a, b)) {
+            tested = true;
+            const auto [pa, pb] = objects.pair(ia, ib);
+            mark_inside(pa, pb, flags, shared.check_stats);
+            continue;
           }
+          const pair_key key = key_of(a, b);
+          const std::vector<std::uint8_t>* res = contain_memo.find(key);
+          if (!res) {
+            tested = true;
+            std::vector<std::uint8_t> computed(flags.size(), 0);
+            const auto [pa, pb] = master_pair(key);
+            mark_inside(pa, pb, computed, shared.check_stats);
+            res = &contain_memo.store(key, std::move(computed));
+          }
+          for (std::size_t q = 0; q < flags.size(); ++q) flags[q] |= (*res)[q];
         }
-        if (contain_open) mark_contained(pa, pb, flags);
+        return tested;
       };
 
       // Whole-clip members: each one's shape-set predicate over the clip's
@@ -652,11 +792,14 @@ group_report run_group(const engine_config& cfg, stream_pool& streams, layout_sn
         std::vector<polygon> a, b;
         for (const std::uint32_t m : clip.members) {
           const bool primary = m < ni;
-          poly_set ps = polys_of(lib, views, primary ? a_insts[m] : b_insts[m - ni],
-                                 primary ? g.layer1 : lb, transform{});
+          const inst& in = primary ? a_insts[m] : b_insts[m - ni];
+          const db::cell& c = lib.at(in.master);
           std::vector<polygon>& dst = primary ? a : b;
-          dst.insert(dst.end(), std::make_move_iterator(ps.polys.begin()),
-                     std::make_move_iterator(ps.polys.end()));
+          for (const std::uint32_t pi :
+               object_range(views.get(in.master, primary ? g.layer1 : lb), in.poly_index).first) {
+            const polygon& poly = c.polygons()[pi].poly;
+            dst.push_back(in.t.is_identity() ? poly : poly.transformed(in.t));
+          }
         }
         clip_memo::value local(cfg.enable_memoization ? whole.size() : 0);
         for (std::size_t w = 0; w < whole.size(); ++w) {
@@ -671,13 +814,21 @@ group_report run_group(const engine_config& cfg, stream_pool& streams, layout_sn
         if (cfg.enable_memoization) whole_clips.store(std::move(key), std::move(local));
       };
 
+      // Sequential mode: every distance member's predicate, then the
+      // containment, over the clip's candidate pairs. Parallel mode: the
+      // containment only. One stopwatch per clip splits its time: the
+      // sweep, each member's edge_check, the containment (shared
+      // edge_check). A pass that only replays memoized results takes no
+      // reading, as a replay was never timed: on a memo-heavy group (V1/M1
+      // on standard cells) the readings would cost more than the work.
+      // Its time falls into the clip's next reading, if any.
       auto sweep_clip = [&](const partition::clip& clip) {
         trace::span cts("pipeline", "clip", "members",
                         static_cast<std::int64_t>(clip.members.size()));
+        timer t;
         // Candidate object pairs from the sweepline (Fig. 3).
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+        std::vector<object_pair> pairs;
         {
-          auto t = shared.phases.measure(phase::sweepline);
           trace::span sts("pipeline", "sweepline", "members",
                           static_cast<std::int64_t>(clip.members.size()));
           pairs = clip_pairs(clip, shared.sweep_stats);
@@ -686,24 +837,21 @@ group_report run_group(const engine_config& cfg, stream_pool& streams, layout_sn
                 clip.members.size() * (clip.members.size() - 1) / 2 - pairs.size();
           }
         }
-        for (const auto& [ia, ib] : pairs) run_pair(ia, ib);
+        shared.phases.add(phase::sweepline, t.lap());
+        if (pairs.empty()) return;
+        for (const std::size_t k : edge_members) {
+          if (member_pairs(k, pairs)) pr[k].phases.add(phase::edge_check, t.lap());
+        }
+        if (!contain.empty() && contain_pairs(pairs)) {
+          shared.phases.add(phase::edge_check, t.lap());
+        }
+        objects.clear();
       };
 
       for (const auto& row : rows) {
         for (const partition::clip* c : row) {
           if (!whole.empty()) run_whole_clip(*c);
-          if (seq && !dist.empty()) sweep_clip(*c);
-        }
-      }
-      if (!seq && !contain.empty()) {
-        // Containment runs on the host (polygon containment is not an
-        // edge-pair-decomposable predicate), over the candidate pairs of the
-        // same clip sweep the sequential branch uses.
-        auto t = shared.phases.measure(phase::edge_check);
-        for (const auto& row : rows) {
-          for (const partition::clip* c : row) {
-            for (const auto& [ia, ib] : clip_pairs(*c, shared.sweep_stats)) run_pair(ia, ib);
-          }
+          if (seq ? !dist.empty() : !contain.empty()) sweep_clip(*c);
         }
       }
 
@@ -717,11 +865,14 @@ group_report run_group(const engine_config& cfg, stream_pool& streams, layout_sn
               if (i >= ni) continue;
               const std::span<const std::uint8_t> flags = flags_of(i);
               if (std::ranges::find(flags, 0) == flags.end()) continue;
-              const poly_set pa = polys_of(lib, views, a_insts[i], g.layer1, transform{});
-              for (std::size_t q = 0; q < pa.polys.size(); ++q) {
+              const inst& in = a_insts[i];
+              const std::span<const rect> pm =
+                  object_range(views.get(in.master, g.layer1), in.poly_index).second;
+              for (std::size_t q = 0; q < pm.size(); ++q) {
                 if (flags[q]) continue;
                 for (const std::size_t k : contain) {
-                  checks::report_uncontained(pa.polys[q], g.layer1, g.layer2, pr[k].violations);
+                  checks::report_uncontained(in.t.apply(pm[q]), g.layer1, g.layer2,
+                                             pr[k].violations);
                 }
               }
             }

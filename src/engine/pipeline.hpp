@@ -102,19 +102,6 @@ inline constexpr std::size_t split_poly_threshold = 8;
 }
 
 // ---------------------------------------------------------------------------
-// Object geometry
-// ---------------------------------------------------------------------------
-
-/// A master's layer polygons transformed by `t`.
-[[nodiscard]] poly_set transformed_polys(const db::cell& c, const master_layer_view& v,
-                                         const transform& t);
-
-/// Polygons of a check object in the frame `extra ∘ in.t` (pass the identity
-/// frame for top coordinates).
-[[nodiscard]] poly_set polys_of(const db::library& lib, view_cache& views, const inst& in,
-                                db::layer_t layer, const transform& extra);
-
-// ---------------------------------------------------------------------------
 // Device streams
 // ---------------------------------------------------------------------------
 
@@ -178,7 +165,9 @@ struct group_report {
 ///      members run check_shapes once per clip, a clip whose content is a
 ///      translation of an evaluated one replaying that result (clip_memo,
 ///      task_prune.hpp); enclosure members report the uncontained polygons
-///      of the inner objects of those clips.
+///      of the inner objects of those clips. A candidate pair reads its
+///      objects' polygons in place from the masters' storage; an object in
+///      a non-identity frame is placed once per clip, never per pair.
 ///
 /// A violation touching the scope has an edge on an object overlapping it;
 /// its partner lies within the member's inflate, at most the group's, so

@@ -150,7 +150,7 @@ void exec_plan::check_pair(const polygon& a, const rect& am, const polygon& b, c
       break;
     case checks::rule_kind::enclosure:
       if (!am.inflated(rule.distance).overlaps(bm)) return;
-      checks::check_enclosure(a, b, layer1, layer2, rule.distance, out, cs);
+      checks::check_enclosure_margins(a, b, layer1, layer2, rule.distance, out, cs);
       break;
     default: break;  // other kinds have no pair predicate
   }

@@ -45,12 +45,6 @@ enum class plan_class : std::uint8_t {
   pair,   ///< spacing / enclosure / derived-area / coloring — partition clips
 };
 
-/// The polygons of one check object, pre-transformed into a common frame.
-struct poly_set {
-  std::vector<polygon> polys;
-  std::vector<rect> mbrs;
-};
-
 /// A rule compiled for execution by the pipeline driver.
 struct exec_plan {
   rules::rule rule;
@@ -88,8 +82,9 @@ struct exec_plan {
 
   /// Pair predicate between two polygons in a common frame, with this plan's
   /// own MBR prefilter (`am`/`bm` are the polygons' MBRs in that frame). For
-  /// two_layer plans `a` must come from layer1 and `b` from layer2.
-  /// Containment is plan-independent and tracked by the pipeline driver.
+  /// two_layer plans `a` must come from layer1 and `b` from layer2. An
+  /// enclosure plan checks the margins only: containment is
+  /// plan-independent, and the pipeline driver computes it once per pair.
   void check_pair(const polygon& a, const rect& am, const polygon& b, const rect& bm,
                   std::vector<checks::violation>& out, checks::check_stats& cs) const;
 

@@ -22,6 +22,16 @@ class timer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
+  /// Elapsed seconds since construction, reset() or the previous lap();
+  /// restarts the stopwatch at that same reading, so consecutive laps split
+  /// a span of time with one clock read each.
+  double lap() {
+    const clock::time_point now = clock::now();
+    const double s = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return s;
+  }
+
   [[nodiscard]] std::uint64_t nanoseconds() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start_).count());

@@ -197,7 +197,7 @@ std::vector<violation> oracle_enclosure(const db::library& lib, db::layer_t inne
       for (const auto& o : outers) {
         contained |= checks::check_enclosure(in.poly, o.poly, inner, outer, d, out, cs);
       }
-      if (!contained) checks::report_uncontained(in.poly, inner, outer, out);
+      if (!contained) checks::report_uncontained(in.poly.mbr(), inner, outer, out);
     }
   }
   return out;
